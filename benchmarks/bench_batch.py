@@ -5,10 +5,10 @@ faults) cell — pays one topology build, one CSR compile, and one sparse
 product per slot **per seed** on the per-seed fast engine.  The
 replica-batched engine (PR 5) shares all three across R lanes.  This
 benchmark measures end-to-end ``run_specs`` wall time for the identical
-spec list both ways (``batch_replicas=1`` vs. fused), in-process serial
-execution on both sides so the comparison is engine-vs-engine, not
-pool-vs-pool (batching composes with the process pool either way: units
-are what travels to workers).
+spec list both ways (``ExecutionPolicy(batch_replicas=1)`` vs. fused),
+in-process serial execution on both sides so the comparison is
+engine-vs-engine, not pool-vs-pool (batching composes with the process
+pool either way: units are what travels to workers).
 
 The results are *byte-identical* by construction — asserted here, and
 enforced in depth by ``tests/experiments/test_batch_equivalence.py`` —
@@ -26,7 +26,12 @@ import time
 from pathlib import Path
 
 from repro.analysis import format_table
-from repro.experiments import SCHEMA_VERSION, ExperimentSpec, run_specs
+from repro.experiments import (
+    SCHEMA_VERSION,
+    ExecutionPolicy,
+    ExperimentSpec,
+    run_specs,
+)
 
 try:
     from conftest import run_once
@@ -74,7 +79,8 @@ def batch_comparison(topology=BATCH_BENCH_TOPOLOGY, n=BATCH_BENCH_N,
     """
     specs = _cell_specs(topology, n, replicas, depth)
     start = time.perf_counter()
-    serial = run_specs(specs, parallel=False, batch_replicas=1)
+    serial = run_specs(specs, parallel=False,
+                       policy=ExecutionPolicy(batch_replicas=1))
     serial_s = time.perf_counter() - start
     start = time.perf_counter()
     batched = run_specs(specs, parallel=False)

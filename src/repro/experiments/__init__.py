@@ -21,7 +21,8 @@ Seed sweeps over batch-capable cells (``decay_bfs`` on a
 seed-deterministic topology with the ``"fast"`` engine) are fused into
 **replica-batched** engine runs automatically — R seeds advance in
 lockstep over one compiled topology, one sparse product per slot —
-without changing a single result byte (``batch_replicas=1`` opts out;
+without changing a single result byte
+(``policy=ExecutionPolicy(batch_replicas=1)`` opts out;
 see EXPERIMENTS.md and ARCHITECTURE.md).
 
 Sweeps too big for one host shard across a fleet with no coordinator:
@@ -92,7 +93,7 @@ from .runner import (
     validate_document,
     validate_file,
 )
-from .spec import ExecutionPolicy, ExperimentSpec, execution_backends
+from .spec import ExecutionPolicy, ExperimentSpec
 from .store import STORE_VERSION, SweepStore
 
 __all__ = [
@@ -123,7 +124,6 @@ __all__ = [
     "batched_algorithm_names",
     "decode_labels",
     "encode_labels",
-    "execution_backends",
     "expand_grid",
     "get_algorithm",
     "get_batched_algorithm",

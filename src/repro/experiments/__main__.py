@@ -41,7 +41,6 @@ from ..radio.faults import coerce_fault_model, named_fault_models
 from ..radio.invariants import invariant_names
 from ..radio.sinr import coerce_sinr_params, named_sinr_params
 from ..radio.topology import scenario_is_deterministic, scenario_names
-from ..radio.kernels import get_kernel, kernel_names
 from .fabric import HashRing, member_name, owned_specs
 from .registry import (
     algorithm_names,
@@ -56,7 +55,7 @@ from .runner import (
     run_sweep,
     validate_file,
 )
-from .spec import COLLISION_MODELS, ExecutionPolicy, execution_backends
+from .spec import COLLISION_MODELS, EXECUTION_BACKENDS, ExecutionPolicy
 from .store import DEFAULT_SHARDS, SweepStore
 
 
@@ -105,13 +104,12 @@ def _add_grid_arguments(parser: argparse.ArgumentParser) -> None:
                              "(1 disables batching; default: "
                              f"{DEFAULT_BATCH_REPLICAS}; results are "
                              "byte-identical either way)")
-    parser.add_argument("--backend", choices=execution_backends(),
+    parser.add_argument("--backend", choices=EXECUTION_BACKENDS,
                         default=None,
-                        help="slot-kernel backend for batch-capable cells "
-                             "('megabatch' additionally fuses adjacent "
+                        help="'megabatch' fuses adjacent batch-capable "
                              "cells of different topologies into one "
-                             "block-diagonal engine run; results are "
-                             "byte-identical for every backend)")
+                             "block-diagonal engine run (results are "
+                             "byte-identical either way)")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -274,14 +272,15 @@ def _policy_from_args(args: argparse.Namespace) -> Optional[ExecutionPolicy]:
     """The sweep-wide :class:`ExecutionPolicy` a CLI invocation implies.
 
     ``run``, ``sweep``, and ``worker`` share the exact same semantics:
-    ``--backend`` becomes the policy's backend (``--batch-replicas``
-    travels separately, as the runner's replica cap).  ``None`` when no
-    execution knob was given, so defaults stay in one place — the
-    runner.
+    ``--backend`` and ``--batch-replicas`` become the policy's
+    ``backend`` and ``batch_replicas``.  ``None`` when no execution
+    knob was given, so defaults stay in one place — the runner.
     """
-    if args.backend is None:
+    if args.backend is None and args.batch_replicas is None:
         return None
-    return ExecutionPolicy(backend=args.backend)
+    return ExecutionPolicy(
+        backend=args.backend, batch_replicas=args.batch_replicas
+    )
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -299,7 +298,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         execution=_execution_from_args(args),
         parallel=not args.serial,
         max_workers=args.max_workers,
-        batch_replicas=args.batch_replicas,
         policy=_policy_from_args(args),
     )
     print(sweep.table(
@@ -349,7 +347,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         max_workers=args.max_workers,
         store=store,
         chunk_size=args.chunk_size,
-        batch_replicas=args.batch_replicas,
         policy=_policy_from_args(args),
     )
     print(sweep.table(
@@ -400,7 +397,6 @@ def _cmd_worker(args: argparse.Namespace) -> int:
         max_workers=args.max_workers,
         store=store,
         chunk_size=args.chunk_size,
-        batch_replicas=args.batch_replicas,
         policy=_policy_from_args(args),
     )
     print(sweep.table(
@@ -466,8 +462,7 @@ def _cmd_list() -> int:
     Topologies are annotated with ``*`` when seed-deterministic (the
     precondition for replica batching), algorithms with ``*`` when a
     replica-batched adapter exists and ``**`` when a heterogeneous
-    mega-batched adapter exists too; kernel backends that would fall
-    back (their optional dependency is missing) say so; fault presets
+    mega-batched adapter exists too; fault presets
     are expanded to their layer stacks so ``--fault-model`` values are
     discoverable without reading source.
     """
@@ -488,11 +483,6 @@ def _cmd_list() -> int:
     print("                  (* = has a replica-batched adapter; "
           "** = mega-batched too)")
     print("engines:         ", ", ".join(available_engines()))
-    print("backends:        ", ", ".join(
-        name if get_kernel(name).available()
-        else f"{name} (unavailable: falls back)"
-        for name in kernel_names()
-    ) + ", megabatch")
     print("collision models:", ", ".join(COLLISION_MODELS))
     print("sinr presets:")
     for name, params in sorted(named_sinr_params().items()):

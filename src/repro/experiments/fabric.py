@@ -272,7 +272,6 @@ def run_partition(
     parallel: bool = True,
     max_workers: Optional[int] = None,
     chunk_size: Optional[int] = None,
-    batch_replicas: Optional[int] = None,
     policy: Optional[ExecutionPolicy] = None,
 ) -> SweepResult:
     """Run exactly one worker's cells of a grid into its local store.
@@ -298,6 +297,5 @@ def run_partition(
         max_workers=max_workers,
         store=store,
         chunk_size=chunk_size,
-        batch_replicas=batch_replicas,
         policy=policy,
     )

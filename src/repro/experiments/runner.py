@@ -58,7 +58,7 @@ from .results import (
     spec_hash,
     validate_result_dict,
 )
-from .spec import ExecutionPolicy, ExperimentSpec, validate_batch_replicas
+from .spec import ExecutionPolicy, ExperimentSpec
 from .store import SweepStore
 
 #: Default number of cells per checkpointed chunk when a sweep runs
@@ -68,7 +68,7 @@ DEFAULT_CHUNK_SIZE = 16
 
 #: Default cap on how many sibling seeds of one cell are fused into a
 #: single replica-batched engine run (``batch_replicas=None``); pass
-#: ``batch_replicas=1`` to opt out of batching entirely.
+#: ``ExecutionPolicy(batch_replicas=1)`` to opt out of batching.
 DEFAULT_BATCH_REPLICAS = 32
 
 #: Default cap on the *total* lane count packed into one mega-batched
@@ -326,7 +326,7 @@ def _effective_policy(
     spec: ExperimentSpec, policy: Optional[ExecutionPolicy]
 ) -> ExecutionPolicy:
     """The spec's hint merged knob-by-knob over the sweep-wide policy."""
-    hint = spec.execution_policy()
+    hint = spec.execution
     if hint is None:
         return policy or ExecutionPolicy()
     return hint.merged_over(policy)
@@ -334,7 +334,6 @@ def _effective_policy(
 
 def _plan_units(
     specs: Sequence[ExperimentSpec],
-    batch_replicas: Optional[int],
     policy: Optional[ExecutionPolicy] = None,
 ) -> List[ExecutionUnit]:
     """Partition specs into execution units, preserving order.
@@ -342,10 +341,10 @@ def _plan_units(
     *Adjacent* specs that are replicas of one batchable cell (equal up
     to seed — exactly how :func:`iter_grid` lays out its innermost seed
     axis) fuse into one unit, capped at the effective replica limit:
-    the specs' own execution hint when set, else the ``batch_replicas``
-    argument, else :data:`DEFAULT_BATCH_REPLICAS`.  Everything else
-    stays a singleton.  Cells whose effective policy enables invariant
-    checking (``invariant_sample``) also stay singletons: the online
+    the spec's own execution hint merged over ``policy``, else
+    :data:`DEFAULT_BATCH_REPLICAS`.  Everything else stays a singleton.
+    Cells whose effective policy enables invariant checking
+    (``invariant_sample``) also stay singletons: the online
     checker hooks the serial engine's slot loop, which the shared-CSR
     batched engine bypasses — fusing would silently skip the checking
     the policy asked for.
@@ -356,7 +355,6 @@ def _plan_units(
     yields the input order unchanged, so downstream result assembly
     (and the store's shard append order) is independent of batching.
     """
-    validate_batch_replicas(batch_replicas)
     units: List[ExecutionUnit] = []
     group: List[ExperimentSpec] = []
     group_key: Optional[Tuple[str, ExecutionPolicy]] = None
@@ -365,8 +363,6 @@ def _plan_units(
         if not group:
             return
         limit = _effective_policy(group[0], policy).batch_replicas
-        if limit is None:
-            limit = batch_replicas
         if limit is None:
             limit = DEFAULT_BATCH_REPLICAS
         for start in range(0, len(group), limit):
@@ -672,7 +668,6 @@ def run_specs(
     max_workers: Optional[int] = None,
     store: Union[None, str, SweepStore] = None,
     chunk_size: Optional[int] = None,
-    batch_replicas: Optional[int] = None,
     policy: Optional[ExecutionPolicy] = None,
 ) -> SweepResult:
     """Execute prepared specs, in cell order, optionally on a pool.
@@ -680,13 +675,14 @@ def run_specs(
     Adjacent specs that are replicas of one batchable cell — identical
     up to seed, seed-deterministic topology, ``"fast"`` engine, batched
     adapter available — are fused into single replica-batched engine
-    runs of up to ``batch_replicas`` seeds each (default
-    :data:`DEFAULT_BATCH_REPLICAS`; ``batch_replicas=1`` opts out).
-    ``policy`` (an :class:`~repro.experiments.spec.ExecutionPolicy`)
-    sets sweep-wide execution knobs — kernel backend, replica cap, and
-    mega batching; per-spec ``execution`` hints override it knob by
-    knob.  When the effective policy selects ``backend="megabatch"``,
-    adjacent batchable cells of one algorithm fuse further into
+    runs of up to ``policy.batch_replicas`` seeds each (default
+    :data:`DEFAULT_BATCH_REPLICAS`; ``ExecutionPolicy(batch_replicas=1)``
+    opts out).  ``policy`` (an
+    :class:`~repro.experiments.spec.ExecutionPolicy`) sets sweep-wide
+    execution knobs — replica cap, mega batching, invariant sampling;
+    per-spec ``execution`` hints override it knob by knob.  When the
+    effective policy selects ``backend="megabatch"``, adjacent
+    batchable cells of one algorithm fuse further into
     heterogeneous mega units (:func:`run_experiment_mega`).
     Batching never changes results: every cell's ``RunResult`` is
     byte-identical (timing aside) to its per-seed execution, so result
@@ -711,7 +707,7 @@ def run_specs(
     """
     spec_list = list(specs)
     if store is None:
-        units = _plan_units(spec_list, batch_replicas, policy)
+        units = _plan_units(spec_list, policy)
         results, execution = _execute_all(
             units, parallel, max_workers, chunk=len(spec_list) or 1
         )
@@ -742,7 +738,7 @@ def run_specs(
             fresh[spec_hash(r.spec)] = r
 
     _, execution = _execute_all(
-        _plan_units(pending, batch_replicas, policy), parallel, max_workers,
+        _plan_units(pending, policy), parallel, max_workers,
         chunk=chunk_size or DEFAULT_CHUNK_SIZE,
         on_batch=checkpoint, idle_execution="store",
     )
@@ -846,17 +842,15 @@ def run_sweep(
     max_workers: Optional[int] = None,
     store: Union[None, str, SweepStore] = None,
     chunk_size: Optional[int] = None,
-    batch_replicas: Optional[int] = None,
     policy: Optional[ExecutionPolicy] = None,
 ) -> SweepResult:
     """Expand a grid (see :func:`expand_grid`) and execute every cell.
 
     ``store``/``chunk_size`` make the sweep resumable and incrementally
-    checkpointed; ``batch_replicas`` caps (or, set to 1, disables)
-    replica batching of sibling seeds — the grid's seed axis is
-    innermost, so each cell's seeds arrive adjacent and batch-eligible.
-    ``policy`` sets sweep-wide execution knobs (kernel backend, replica
-    cap, mega batching).  See :func:`run_specs` for all three.
+    checkpointed; ``policy`` sets sweep-wide execution knobs (replica
+    cap, mega batching) — the grid's seed axis is innermost, so each
+    cell's seeds arrive adjacent and batch-eligible.  See
+    :func:`run_specs` for both.
     """
     specs = iter_grid(
         topologies,
@@ -874,8 +868,7 @@ def run_sweep(
         execution=execution,
     )
     return run_specs(specs, parallel=parallel, max_workers=max_workers,
-                     store=store, chunk_size=chunk_size,
-                     batch_replicas=batch_replicas, policy=policy)
+                     store=store, chunk_size=chunk_size, policy=policy)
 
 
 def validate_document(data: Mapping[str, Any]) -> List[RunResult]:

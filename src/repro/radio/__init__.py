@@ -33,9 +33,7 @@ restriction of replica batching.
 
 Engines self-register by name
 (:func:`~repro.radio.engine_registry.register_engine`); the low-level
-counts/codes arithmetic is pluggable through the
-:class:`~repro.radio.kernels.base.SlotKernel` backend protocol in
-:mod:`repro.radio.kernels`.
+counts/codes arithmetic lives in :mod:`repro.radio.kernels`.
 """
 
 from .batch_engine import MegaBatchedNetwork, ReplicaBatchedNetwork, ReplicaLane
@@ -79,19 +77,6 @@ from .sinr import (
     resolve_sinr,
 )
 from .trace import Event, EventTrace
-
-
-def __getattr__(name: str):
-    # The deprecated module-level ENGINES dict lives on (with its
-    # one-time warning) in repro.radio.engine; delegate so that
-    # ``repro.radio.ENGINES`` keeps working without firing the warning
-    # at import time.  Intentionally not in __all__, so star-imports
-    # and doc generators never trigger the deprecation path.
-    if name == "ENGINES":
-        from . import engine as _engine
-
-        return _engine.ENGINES
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 __all__ = [

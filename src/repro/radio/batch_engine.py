@@ -73,7 +73,7 @@ from .device import ActionKind, Device
 from .energy import EnergyLedger
 from .fast_engine import _NOISE, _NOTHING, _SILENCE, CompiledTopology
 from .faults import FaultCounters, FaultModel, ReplicaFaultRuntimes
-from .kernels import MegaBatchPlan, SlotKernel
+from .kernels import MegaBatchPlan
 from .kernels.sinr_csr import SinrCsr, sinr_arbitrate_many
 from .message import Message, MessageSizePolicy
 from .network import (
@@ -152,9 +152,6 @@ class ReplicaBatchedNetwork:
     fault_seeds:
         One dedicated fault stream (or seed) per lane; defaults to
         ``None`` per lane.
-    kernel:
-        Optional :mod:`repro.radio.kernels` backend (or its name)
-        resolving the fused product; default: best available.
     sinr:
         Optional :class:`~repro.radio.sinr.SinrParams` (or preset name /
         mapping), exactly as on the serial engines: required context for
@@ -174,7 +171,6 @@ class ReplicaBatchedNetwork:
         ledgers: Optional[Sequence[EnergyLedger]] = None,
         faults: Optional[FaultModel] = None,
         fault_seeds: Optional[Sequence[SeedLike]] = None,
-        kernel: Union[None, str, SlotKernel] = None,
         sinr: Union[None, str, Mapping, SinrParams] = None,
     ) -> None:
         validate_topology(graph)
@@ -194,7 +190,7 @@ class ReplicaBatchedNetwork:
                 ) from None
         self.collision_model = collision_model
         self.size_policy = size_policy or MessageSizePolicy.unbounded()
-        self._topology = CompiledTopology(graph, kernel=kernel)
+        self._topology = CompiledTopology(graph)
         self._node_set: Set[Hashable] = set(graph.nodes)
         sinr_params = coerce_sinr_params(sinr)
         if collision_model is CollisionModel.SINR:
@@ -495,19 +491,13 @@ class MegaBatchedNetwork:
 
     name = "mega-batch"
 
-    def __init__(
-        self,
-        members: Sequence[ReplicaBatchedNetwork],
-        kernel: Union[None, str, SlotKernel] = None,
-    ) -> None:
+    def __init__(self, members: Sequence[ReplicaBatchedNetwork]) -> None:
         if not members:
             raise ConfigurationError(
                 "MegaBatchedNetwork requires at least one member network"
             )
         self.members: List[ReplicaBatchedNetwork] = list(members)
-        self._plan = MegaBatchPlan(
-            [m._topology.adjacency for m in self.members], kernel=kernel
-        )
+        self._plan = MegaBatchPlan([m._topology.adjacency for m in self.members])
 
     # ------------------------------------------------------------------
     def member(self, index: int) -> ReplicaBatchedNetwork:

@@ -1,63 +1,38 @@
-"""Slot-kernel backends: the arithmetic core behind the fast engines.
+"""The slot kernel: the arithmetic core behind the fast engines.
 
-This package isolates the per-slot counts/codes computation (one sparse
-product, or its equivalent) behind the
-:class:`~repro.radio.kernels.base.SlotKernel` protocol, selected by
-name through a small registry:
+This package isolates the per-slot counts/codes computation:
 
-- ``"scipy"`` — the reference backend: one :mod:`scipy.sparse` CSR
-  product per (batched) slot; exactly the arithmetic the fast engine
-  has always computed.
-- ``"numpy"`` — pure-NumPy CSR accumulation; the always-available
-  dependency floor and the delegation target of optional backends.
-- ``"numba"`` — JIT-compiled accumulation loops when ``numba`` is
-  importable; **gracefully falls back** to the default backend when it
-  is not, so selecting it is always safe.
+- :class:`~repro.radio.kernels.base.CSRAdjacency` — a topology compiled
+  to CSR index arrays;
+- :class:`~repro.radio.kernels.scipy_csr.ScipyKernel` — one
+  :mod:`scipy.sparse` CSR product per (batched) slot; the exact
+  arithmetic the fast engine has always computed;
+- :class:`~repro.radio.kernels.sinr_csr.SinrCsr` — the per-edge signal
+  arbitration the SINR collision model needs instead of counts.
 
-On top of the kernels, :class:`~repro.radio.kernels.megabatch.MegaBatchPlan`
+On top of the kernel, :class:`~repro.radio.kernels.megabatch.MegaBatchPlan`
 packs *heterogeneous* member topologies into one block-diagonal CSR
 matrix so lanes of different cells share a single fused product per
 slot — the engine behind the ``"megabatch"`` execution backend of
 :mod:`repro.experiments`.
 
-Every kernel is bit-identical to every other by construction: the
-computation is exact int64 accumulation, which no evaluation order can
-change.  ``tests/radio/test_kernels.py`` and the backend equivalence
-grids enforce it end to end.
+The computation is exact int64 accumulation, which no evaluation order
+can change; ``tests/radio/test_kernels.py`` checks the kernel against a
+per-row loop over the CSR arrays.
 """
 
-from .base import (
-    CSRAdjacency,
-    SlotKernel,
-    default_kernel,
-    get_kernel,
-    kernel_names,
-    register_kernel,
-    resolve_kernel,
-)
+from .base import CSRAdjacency
 from .megabatch import MegaBatchPlan
-from .numba_csr import NUMBA_KERNEL, NumbaKernel
-from .numpy_csr import NUMPY_KERNEL, NumpyKernel
 from .scipy_csr import SCIPY_KERNEL, ScipyKernel
 from .sinr_csr import SinrCsr, compile_sinr, sinr_arbitrate, sinr_arbitrate_many
 
 __all__ = [
     "CSRAdjacency",
     "MegaBatchPlan",
-    "NUMBA_KERNEL",
-    "NUMPY_KERNEL",
-    "NumbaKernel",
-    "NumpyKernel",
     "SCIPY_KERNEL",
     "ScipyKernel",
     "SinrCsr",
-    "SlotKernel",
     "compile_sinr",
-    "default_kernel",
-    "get_kernel",
-    "kernel_names",
-    "register_kernel",
-    "resolve_kernel",
     "sinr_arbitrate",
     "sinr_arbitrate_many",
 ]

@@ -1,40 +1,19 @@
-"""The :class:`SlotKernel` backend protocol and its registry.
+"""The kernel-facing form of a topology: :class:`CSRAdjacency`.
 
-A *slot kernel* is the narrow arithmetic core of the vectorized engine
-tiers: given a CSR adjacency and one or more sets of transmitter
-indices, produce per-vertex ``(counts, codes)`` pairs — the number of
-transmitting neighbors and the sum of their 1-based indices (see
-:meth:`SlotKernel.counts_codes`).  Everything else about a slot
+The slot kernel (:class:`~repro.radio.kernels.scipy_csr.ScipyKernel`)
+resolves each slot's channel against these index arrays: given one or
+more sets of transmitter indices it produces per-vertex
+``(counts, codes)`` pairs — the number of transmitting neighbors and
+the sum of their 1-based indices.  Everything else about a slot
 (device callbacks, fault plans, collision semantics, energy charging)
-lives above the kernel, in the engines; everything below it is exact
-int64 arithmetic, so **any** kernel is bit-identical to any other by
-construction — integer sums do not depend on evaluation order.
-
-Kernels register themselves here (:func:`register_kernel`) and are
-selected by name (:func:`get_kernel`); the experiment layer exposes the
-same names through ``ExecutionPolicy.backend`` and the CLI's
-``--backend`` flag.  :func:`default_kernel` picks the best available
-backend (scipy when importable, the pure-NumPy fallback otherwise), so
-constructing an engine without naming a kernel reproduces the historic
-behavior exactly.
+lives above the kernel, in the engines; the kernel itself is exact
+int64 arithmetic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import (
-    Any,
-    Dict,
-    Hashable,
-    List,
-    Mapping,
-    Optional,
-    Protocol,
-    Sequence,
-    Tuple,
-    Union,
-    runtime_checkable,
-)
+from typing import Dict, Hashable, List, Mapping
 
 import networkx as nx
 import numpy as np
@@ -50,7 +29,7 @@ class CSRAdjacency:
     are the (contiguous ``0..n-1``) neighbor indices of vertex ``i``,
     sorted ascending.  All adjacency values are implicitly 1 (the RN
     model has unweighted symmetric links), so the arrays alone determine
-    every kernel's output.
+    the kernel's output.
     """
 
     n: int
@@ -128,109 +107,3 @@ class CSRAdjacency:
         dst0 = indptr[prev]
         indices[dst0:dst0 + (src1 - src0)] = self.indices[src0:src1]
         return CSRAdjacency(n=self.n, indptr=indptr, indices=indices)
-
-
-@runtime_checkable
-class SlotKernel(Protocol):
-    """Backend protocol for the per-slot counts/codes arithmetic.
-
-    Implementations are stateless singletons; per-topology state lives
-    in whatever :meth:`prepare` returns and is threaded back into the
-    ``counts_codes*`` calls by the caller (so one kernel instance can
-    serve any number of compiled topologies).
-    """
-
-    #: Registry name (``"scipy"``, ``"numpy"``, ``"numba"``, ...).
-    name: str
-
-    def available(self) -> bool:
-        """Whether the backend's native dependency is importable.
-
-        A kernel whose dependency is missing must still *work* — by
-        delegating to :func:`default_kernel` — so selecting it is always
-        safe; ``available()`` only reports whether the native path runs.
-        """
-        ...
-
-    def prepare(self, adjacency: CSRAdjacency) -> Any:
-        """Compile per-topology state for this backend (opaque)."""
-        ...
-
-    def counts_codes(
-        self, state: Any, tx_idx: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Per-vertex (transmitting-neighbor count, summed sender codes).
-
-        Sender codes are 1-based transmitter indices; where the count is
-        exactly 1 the code minus one *is* the unique sender's index.
-        """
-        ...
-
-    def counts_codes_many(
-        self, state: Any, tx_lists: Sequence[np.ndarray]
-    ) -> List[Tuple[np.ndarray, np.ndarray]]:
-        """:meth:`counts_codes` for many independent replicas at once.
-
-        ``tx_lists[r]`` holds replica ``r``'s transmitter indices; the
-        per-replica pairs come back in the same order, each bit-identical
-        to its own :meth:`counts_codes` call (entries of distinct
-        replicas never mix — exact int64 arithmetic guarantees it).
-        """
-        ...
-
-
-_KERNELS: Dict[str, SlotKernel] = {}
-
-
-def register_kernel(kernel: SlotKernel, overwrite: bool = False) -> SlotKernel:
-    """Install a kernel under its :class:`SlotKernel` ``name``.
-
-    Backends self-register at import time (see
-    :mod:`repro.radio.kernels`); third-party code can register its own
-    the same way.  Returns the kernel so the call composes as a
-    decorator-style one-liner.
-    """
-    name = getattr(kernel, "name", "")
-    if not name:
-        raise ConfigurationError("kernel name must be non-empty")
-    if not overwrite and name in _KERNELS:
-        raise ConfigurationError(f"kernel {name!r} is already registered")
-    _KERNELS[name] = kernel
-    return kernel
-
-
-def kernel_names() -> Tuple[str, ...]:
-    """All registered kernel names, sorted."""
-    return tuple(sorted(_KERNELS))
-
-
-def get_kernel(name: str) -> SlotKernel:
-    """Look up a kernel by name, failing loudly for unknown names."""
-    try:
-        return _KERNELS[name]
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown kernel {name!r}; registered: {', '.join(kernel_names())}"
-        ) from None
-
-
-def default_kernel() -> SlotKernel:
-    """The best always-safe backend: scipy if importable, else numpy."""
-    scipy = _KERNELS.get("scipy")
-    if scipy is not None and scipy.available():
-        return scipy
-    return _KERNELS["numpy"]
-
-
-def resolve_kernel(kernel: Union[None, str, SlotKernel]) -> SlotKernel:
-    """Coerce a kernel designation (name, instance, or ``None``).
-
-    ``None`` selects :func:`default_kernel` — the engines' historic
-    behavior; a string goes through :func:`get_kernel`; an instance
-    passes through unchanged.
-    """
-    if kernel is None:
-        return default_kernel()
-    if isinstance(kernel, str):
-        return get_kernel(kernel)
-    return kernel

@@ -18,20 +18,20 @@ against ``A_m`` alone, up to the code shift: global sender codes are
 arithmetic, every count).  Bit-identity with per-member execution is
 therefore structural, not numerical luck.
 
-The plan composes with any registered
-:class:`~repro.radio.kernels.base.SlotKernel` — the fused product runs
-on scipy, numpy, or numba unchanged; "mega-batch" is a packing
-strategy, not a fourth arithmetic.
+The fused product runs on the one slot kernel
+(:class:`~repro.radio.kernels.scipy_csr.ScipyKernel`); "mega-batch" is
+a packing strategy, not a second arithmetic.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple, Union
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from ...errors import ConfigurationError
-from .base import CSRAdjacency, SlotKernel, resolve_kernel
+from .base import CSRAdjacency
+from .scipy_csr import SCIPY_KERNEL
 
 
 class MegaBatchPlan:
@@ -41,23 +41,14 @@ class MegaBatchPlan:
     ----------
     members:
         The member topologies' CSR adjacencies, in member-index order.
-    kernel:
-        The :class:`~repro.radio.kernels.base.SlotKernel` (or its name)
-        executing the fused product; default: the best available
-        backend.
     """
 
-    def __init__(
-        self,
-        members: Sequence[CSRAdjacency],
-        kernel: Union[None, str, SlotKernel] = None,
-    ) -> None:
+    def __init__(self, members: Sequence[CSRAdjacency]) -> None:
         if not members:
             raise ConfigurationError(
                 "MegaBatchPlan requires at least one member adjacency"
             )
         self.members: List[CSRAdjacency] = list(members)
-        self.kernel = resolve_kernel(kernel)
         offsets = np.zeros(len(self.members) + 1, dtype=np.int64)
         for m, adj in enumerate(self.members):
             offsets[m + 1] = offsets[m] + adj.n
@@ -79,7 +70,7 @@ class MegaBatchPlan:
                 if indices_parts else np.zeros(0, dtype=np.int64)
             ),
         )
-        self._state = self.kernel.prepare(block)
+        self._state = SCIPY_KERNEL.prepare(block)
 
     # ------------------------------------------------------------------
     def counts_codes_many(
@@ -99,7 +90,7 @@ class MegaBatchPlan:
             np.asarray(tx, dtype=np.int64) + offsets[member]
             for member, tx in entries
         ]
-        resolved = self.kernel.counts_codes_many(self._state, global_lists)
+        resolved = SCIPY_KERNEL.counts_codes_many(self._state, global_lists)
         out: List[Tuple[np.ndarray, np.ndarray]] = []
         for (member, _), (counts, codes) in zip(entries, resolved):
             off = int(offsets[member])

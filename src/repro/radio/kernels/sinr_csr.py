@@ -1,12 +1,10 @@
 """Vectorized SINR arbitration over CSR adjacency (int64, numpy-only).
 
 The binary collision models reduce each slot to transmitter *counts*
-per listener, which the pluggable :class:`~repro.radio.kernels.base.SlotKernel`
-backends compute.  SINR arbitration needs per-edge *signals*, so it has
-its own kernel here — deliberately backend-agnostic pure numpy: every
-operation is an int64 sum, maximum, or comparison, which are exact and
-order-independent, so scipy/numpy/numba sessions produce bit-identical
-arbitration without per-backend code.
+per listener, which :class:`~repro.radio.kernels.scipy_csr.ScipyKernel`
+computes.  SINR arbitration needs per-edge *signals*, so it has its own
+kernel here in pure numpy: every operation is an int64 sum, maximum, or
+comparison, which are exact and order-independent.
 
 The fused entry point :func:`sinr_arbitrate_many` processes several
 lanes (replica batching) or members (mega batching) in one pass by

@@ -20,8 +20,8 @@ energy units per transmitting slot — *louder costs more*.
 
 Fixed-point convention (everything is an ``int``)
 -------------------------------------------------
-Engines must stay bit-for-bit equivalent across the scipy / numpy /
-numba kernels, so the whole signal pipeline is integer-only:
+Engines must stay bit-for-bit equivalent across every tier, so the
+whole signal pipeline is integer-only:
 
 - node positions (the ``pos`` attribute written by the geometric
   generators) are quantized onto a :data:`GRID` x :data:`GRID` integer

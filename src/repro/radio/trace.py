@@ -9,7 +9,7 @@ distance estimates.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Hashable, Iterator, List, Optional
+from typing import Any, Hashable, Iterator, List
 
 
 @dataclass(frozen=True)
@@ -25,14 +25,11 @@ class Event:
 class EventTrace:
     """Append-only list of :class:`Event` with simple querying."""
 
-    def __init__(self, capacity: Optional[int] = None) -> None:
+    def __init__(self) -> None:
         self._events: List[Event] = []
-        self._capacity = capacity
 
     def record(self, slot: int, kind: str, subject: Hashable, detail: Any = None) -> None:
-        """Append an event (drops silently once capacity is reached)."""
-        if self._capacity is not None and len(self._events) >= self._capacity:
-            return
+        """Append an event."""
         self._events.append(Event(slot, kind, subject, detail))
 
     def __len__(self) -> int:

@@ -7,8 +7,8 @@ sweep writes store shards byte-identical to a serial sweep.  Batching
 must be invisible everywhere except the wall clock.
 
 The same contract extends to every :class:`ExecutionPolicy` backend:
-each kernel backend and the heterogeneous mega-batch packing produce
-byte-identical results, ledgers, fault streams, and store shards.
+the heterogeneous mega-batch packing produces byte-identical results,
+ledgers, fault streams, and store shards.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import pathlib
+import warnings
 
 import pytest
 
@@ -24,7 +25,6 @@ from repro.experiments import (
     ExecutionPolicy,
     ExperimentSpec,
     batched_algorithm_names,
-    execution_backends,
     mega_algorithm_names,
     run_experiment,
     run_experiment_batch,
@@ -42,10 +42,11 @@ from repro.experiments.runner import (
 )
 from repro.experiments.spec import COLLISION_MODELS
 from repro.radio.faults import named_fault_models
-from repro.radio.kernels import kernel_names
 
 REPLICAS = 8
 PRESETS = sorted(named_fault_models())
+#: Replica batching opted out: every seed runs alone.
+SERIAL = ExecutionPolicy(batch_replicas=1)
 
 
 def _cell_specs(preset, collision_model, seeds=range(REPLICAS), **overrides):
@@ -93,7 +94,7 @@ def test_batched_results_byte_identical(preset, collision_model):
 def test_run_specs_batched_equals_opt_out():
     specs = _cell_specs("drop10", "no_cd")
     batched = run_specs(specs, parallel=False)
-    serial = run_specs(specs, parallel=False, batch_replicas=1)
+    serial = run_specs(specs, parallel=False, policy=SERIAL)
     assert tuple(batched.results) == tuple(serial.results)
     assert [r.spec.seed for r in batched] == list(range(REPLICAS))
 
@@ -104,7 +105,7 @@ def test_run_sweep_batches_the_seed_axis():
                         sizes=16, seeds=4, engine="fast", parallel=False)
     serial = run_sweep(["star_of_paths", "grid"], ["decay_bfs"],
                        sizes=16, seeds=4, engine="fast", parallel=False,
-                       batch_replicas=1)
+                       policy=SERIAL)
     assert tuple(batched.results) == tuple(serial.results)
 
 
@@ -120,8 +121,7 @@ def test_plan_units_groups_only_adjacent_batchable_replicas():
     units = _plan_units(specs, None)
     assert [len(u) for u in units] == [4, 2, 1, 1, 1, 1, 1, 1]
     assert [s for unit in units for s in unit] == specs
-    # Caps: the argument bounds group size; the per-spec hint wins.
-    assert [len(u) for u in _plan_units(cell, 3)] == [3, 1]
+    # Caps: a per-spec hint bounds group size.
     hinted = [
         dataclasses.replace(s, execution=ExecutionPolicy(batch_replicas=2))
         for s in _cell_specs("none", "no_cd", seeds=range(4))
@@ -129,9 +129,9 @@ def test_plan_units_groups_only_adjacent_batchable_replicas():
     assert [len(u) for u in _plan_units(hinted, None)] == [2, 2]
     # A sweep-wide policy caps too; the per-spec hint wins over it.
     assert [len(u) for u in _plan_units(
-        cell, None, ExecutionPolicy(batch_replicas=3))] == [3, 1]
+        cell, ExecutionPolicy(batch_replicas=3))] == [3, 1]
     assert [len(u) for u in _plan_units(
-        hinted, None, ExecutionPolicy(batch_replicas=3))] == [2, 2]
+        hinted, ExecutionPolicy(batch_replicas=3))] == [2, 2]
 
 
 def test_spec_is_batchable_conditions():
@@ -185,70 +185,74 @@ def test_execution_policy_hint_excluded_from_identity():
 def test_execution_policy_coerced_and_merged():
     hinted = ExperimentSpec(
         topology="path", n=8, algorithm="decay_bfs", engine="fast", seed=1,
-        execution={"backend": "numpy"})  # plain mapping coerces
-    assert hinted.execution == ExecutionPolicy(backend="numpy")
-    assert hinted.execution_policy().kernel() == "numpy"
+        execution={"backend": "megabatch"})  # plain mapping coerces
+    assert hinted.execution == ExecutionPolicy(backend="megabatch")
     merged = ExecutionPolicy(batch_replicas=2).merged_over(
         ExecutionPolicy(backend="megabatch", mega_batch=8))
     assert merged == ExecutionPolicy(backend="megabatch", batch_replicas=2,
                                      mega_batch=8)
-    assert merged.wants_mega() and merged.kernel() is None
+    assert merged.wants_mega()
 
 
 def test_execution_policy_validation():
-    with pytest.raises(ConfigurationError, match="backend"):
-        ExecutionPolicy(backend="cuda")
+    for backend in ("cuda", "scipy", "numpy", "numba"):
+        with pytest.raises(ConfigurationError, match="backend"):
+            ExecutionPolicy(backend=backend)
     for bad in (0, -1, True, 2.5):
         with pytest.raises(ConfigurationError, match="batch_replicas"):
             ExecutionPolicy(batch_replicas=bad)
         with pytest.raises(ConfigurationError, match="mega_batch"):
             ExecutionPolicy(mega_batch=bad)
     with pytest.raises(ConfigurationError, match="unknown"):
-        ExecutionPolicy.from_dict({"backend": "scipy", "gpu": True})
-    round_trip = ExecutionPolicy(backend="scipy", mega_batch=4)
+        ExecutionPolicy.from_dict({"backend": "megabatch", "gpu": True})
+    round_trip = ExecutionPolicy(backend="megabatch", mega_batch=4)
     assert ExecutionPolicy.from_dict(round_trip.to_dict()) == round_trip
-
-
-def test_batch_replicas_spec_kwarg_deprecated_but_working():
-    """The pre-policy spelling still works — once, loudly."""
-    with pytest.warns(DeprecationWarning, match="batch_replicas"):
-        hinted = ExperimentSpec(topology="path", n=8, algorithm="decay_bfs",
-                                engine="fast", seed=1, batch_replicas=4)
-    assert hinted.execution_policy() == ExecutionPolicy(batch_replicas=4)
-    assert spec_hash(hinted) == spec_hash(
-        ExperimentSpec(topology="path", n=8, algorithm="decay_bfs",
-                       engine="fast", seed=1))
-    # from_dict accepts the key (picklable hint survives worker round
-    # trips) even though to_dict never emits it.
-    doc = hinted.to_dict()
-    doc["batch_replicas"] = 4
-    with pytest.warns(DeprecationWarning, match="batch_replicas"):
-        assert ExperimentSpec.from_dict(doc).batch_replicas == 4
-    # Setting the knob in both places is a contradiction, not a merge
-    # (rejected before the deprecation warning even fires).
-    with pytest.raises(ConfigurationError, match="one place"):
-        ExperimentSpec(topology="path", n=8, algorithm="decay_bfs",
-                       seed=0, batch_replicas=4,
-                       execution=ExecutionPolicy(batch_replicas=2))
 
 
 @pytest.mark.parametrize("bad", [0, -1, True, 2.5, "8"])
 def test_batch_replicas_hint_validated(bad):
+    """A spec's execution hint validates its replica cap on coercion."""
     with pytest.raises(ConfigurationError, match="batch_replicas"):
         ExperimentSpec(topology="path", n=8, algorithm="decay_bfs",
-                       seed=0, batch_replicas=bad)
+                       seed=0, execution={"batch_replicas": bad})
+
+
+def _removed_replica_cap_spellings():
+    from repro.experiments.fabric import run_partition
+
+    spec = _cell_specs("none", "no_cd", seeds=[0])[0]
+    doc = dict(spec.to_dict(), batch_replicas=2)
+    return {
+        "spec-kwarg": (TypeError, lambda: ExperimentSpec(
+            topology="path", n=8, algorithm="decay_bfs", seed=0,
+            batch_replicas=2)),
+        "spec-from_dict": (ConfigurationError,
+                           lambda: ExperimentSpec.from_dict(doc)),
+        "run_specs": (TypeError, lambda: run_specs(
+            [spec], parallel=False, batch_replicas=1)),
+        "run_sweep": (TypeError, lambda: run_sweep(
+            ["path"], ["decay_bfs"], sizes=8, seeds=1, parallel=False,
+            batch_replicas=1)),
+        "run_partition": (TypeError, lambda: run_partition(
+            [spec], 0, 1, store="unused", parallel=False,
+            batch_replicas=1)),
+    }
+
+
+@pytest.mark.parametrize("spelling", sorted(_removed_replica_cap_spellings()))
+def test_removed_replica_cap_spelling_fails_loudly(spelling):
+    """The replica cap has one spelling, the policy's; the others raise
+    at once, with no deprecation warning and no work done."""
+    error, call = _removed_replica_cap_spellings()[spelling]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error, match="batch_replicas"):
+            call()
 
 
 def test_default_batch_replicas_is_sane():
     assert isinstance(DEFAULT_BATCH_REPLICAS, int)
     assert DEFAULT_BATCH_REPLICAS >= 2
-
-
-def test_runner_batch_replicas_validated():
-    specs = _cell_specs("none", "no_cd", seeds=range(2))
-    for bad in (0, -1, True, 2.5):
-        with pytest.raises(ConfigurationError, match="batch_replicas"):
-            run_specs(specs, parallel=False, batch_replicas=bad)
 
 
 def test_adopted_slot_view_is_accounting_only():
@@ -285,7 +289,7 @@ def _shard_bytes(store_dir):
 def test_batched_sweep_store_byte_identical(tmp_path):
     specs = _cell_specs("lossy_mixed", "receiver_cd")
     run_specs(specs, parallel=False, store=str(tmp_path / "serial"),
-              batch_replicas=1)
+              policy=SERIAL)
     run_specs(specs, parallel=False, store=str(tmp_path / "batched"))
     assert _shard_bytes(tmp_path / "serial") == _shard_bytes(tmp_path / "batched")
 
@@ -294,7 +298,7 @@ def test_batched_resume_store_byte_identical(tmp_path):
     """Completed cells drop out of the batch group; bytes still match."""
     specs = _cell_specs("drop30", "no_cd")
     run_specs(specs, parallel=False, store=str(tmp_path / "reference"),
-              batch_replicas=1)
+              policy=SERIAL)
     resumed = str(tmp_path / "resumed")
     run_specs(specs[:5], parallel=False, store=resumed)
     sweep = run_specs(specs, parallel=False, store=resumed)
@@ -316,30 +320,40 @@ def _hetero_specs(preset, collision_model, seeds=3):
     return specs
 
 
+#: Every way a sweep can pack its cells, with the unit sizes it plans
+#: for :func:`_hetero_specs` at two seeds (three members of two lanes):
+#: default replica batching, one mega unit, mega units cut by a lane
+#: cap, and one mega unit built from single-replica members.
+BACKEND_POLICIES = {
+    "None": (ExecutionPolicy(), [2, 2, 2]),
+    "megabatch": (ExecutionPolicy(backend="megabatch"), [6]),
+    "megabatch-cap4": (ExecutionPolicy(backend="megabatch", mega_batch=4),
+                       [4, 2]),
+    "megabatch-replicas1": (ExecutionPolicy(backend="megabatch",
+                                            batch_replicas=1), [6]),
+}
+
+
 @pytest.mark.parametrize("collision_model", COLLISION_MODELS)
 @pytest.mark.parametrize("preset", PRESETS)
-@pytest.mark.parametrize("backend", sorted(execution_backends()))
+@pytest.mark.parametrize("backend", sorted(BACKEND_POLICIES))
 def test_backend_byte_identical_grid(backend, preset, collision_model):
     """The headline backend matrix: byte-for-byte against per-seed serial.
 
-    Covers every kernel backend (including ``numba``, which silently
-    falls back when the dependency is missing) and the mega-batch
-    packing, across every fault preset and collision model, on a
-    heterogeneous spec stream.
+    Covers the default replica batching and the mega-batch packing
+    (uncapped, lane-capped, and over single-replica members), across
+    every fault preset and collision model, on a heterogeneous spec
+    stream.
     """
+    policy, unit_sizes = BACKEND_POLICIES[backend]
     specs = _hetero_specs(preset, collision_model, seeds=2)
-    serial = run_specs(specs, parallel=False, batch_replicas=1)
-    alt = run_specs(specs, parallel=False,
-                    policy=ExecutionPolicy(backend=backend))
+    assert [len(u) for u in _plan_units(specs, policy)] == unit_sizes
+    serial = run_specs(specs, parallel=False, policy=SERIAL)
+    alt = run_specs(specs, parallel=False, policy=policy)
     assert len(alt) == len(serial)
     for ref, got in zip(serial, alt):
         assert _canonical(got) == _canonical(ref)
         assert got.fault_counts() == ref.fault_counts()
-
-
-def test_execution_backends_cover_kernels_and_mega():
-    assert set(execution_backends()) == set(kernel_names()) | {"megabatch"}
-    assert "decay_bfs" in mega_algorithm_names()
 
 
 # ---------------------------------------------------------------------------
@@ -349,6 +363,7 @@ def test_execution_backends_cover_kernels_and_mega():
 def test_spec_is_mega_batchable_conditions():
     spec = _cell_specs("none", "no_cd", seeds=[0])[0]
     assert spec_is_mega_batchable(spec)
+    assert "decay_bfs" in mega_algorithm_names()
     assert not spec_is_mega_batchable(
         dataclasses.replace(spec, engine="reference"))
     assert not spec_is_mega_batchable(
@@ -363,17 +378,17 @@ def test_plan_units_mega_merges_adjacent_cells():
     # Without the policy: three replica-batched units.
     assert [len(u) for u in _plan_units(specs, None)] == [3, 3, 3]
     # With it: one heterogeneous unit spanning all nine lanes.
-    assert [len(u) for u in _plan_units(specs, None, mega)] == [9]
+    assert [len(u) for u in _plan_units(specs, mega)] == [9]
     # The mega_batch cap bounds *total* lanes, at unit granularity.
     capped = ExecutionPolicy(backend="megabatch", mega_batch=6)
-    assert [len(u) for u in _plan_units(specs, None, capped)] == [6, 3]
+    assert [len(u) for u in _plan_units(specs, capped)] == [6, 3]
     # Non-mega-batchable cells break the merged run.
     blocker = _cell_specs("none", "no_cd", seeds=[0],
                           algorithm="trivial_bfs")
     mixed = specs[:3] + blocker + specs[3:]
-    assert [len(u) for u in _plan_units(mixed, None, mega)] == [3, 1, 6]
+    assert [len(u) for u in _plan_units(mixed, mega)] == [3, 1, 6]
     # Order is always preserved exactly.
-    assert [s for u in _plan_units(mixed, None, mega) for s in u] == mixed
+    assert [s for u in _plan_units(mixed, mega) for s in u] == mixed
 
 
 def test_run_experiment_mega_validates_input():
@@ -397,7 +412,7 @@ def test_run_experiment_mega_validates_input():
 def test_mega_sweep_store_byte_identical(tmp_path):
     specs = _hetero_specs("lossy_mixed", "receiver_cd", seeds=2)
     run_specs(specs, parallel=False, store=str(tmp_path / "serial"),
-              batch_replicas=1)
+              policy=SERIAL)
     run_specs(specs, parallel=False, store=str(tmp_path / "mega"),
               policy=ExecutionPolicy(backend="megabatch"))
     assert _shard_bytes(tmp_path / "serial") == _shard_bytes(tmp_path / "mega")
@@ -407,9 +422,9 @@ def test_mega_resume_store_byte_identical(tmp_path):
     """Cells completed serially drop out of the mega unit; bytes match."""
     specs = _hetero_specs("drop30", "no_cd", seeds=2)
     run_specs(specs, parallel=False, store=str(tmp_path / "reference"),
-              batch_replicas=1)
+              policy=SERIAL)
     resumed = str(tmp_path / "resumed")
-    run_specs(specs[:4], parallel=False, store=resumed, batch_replicas=1)
+    run_specs(specs[:4], parallel=False, store=resumed, policy=SERIAL)
     sweep = run_specs(specs, parallel=False, store=resumed,
                       policy=ExecutionPolicy(backend="megabatch"))
     assert len(sweep) == len(specs)
@@ -441,11 +456,13 @@ def test_cli_backend_flag_uniform_across_subcommands():
             [command, *common, *args, "--backend", "megabatch",
              "--batch-replicas", "4"])
         assert ns.backend == "megabatch" and ns.batch_replicas == 4
-        assert _policy_from_args(ns) == ExecutionPolicy(backend="megabatch")
+        assert _policy_from_args(ns) == ExecutionPolicy(
+            backend="megabatch", batch_replicas=4)
         ns = parser.parse_args([command, *common, *args])
         assert _policy_from_args(ns) is None
-    with pytest.raises(SystemExit):
-        parser.parse_args(["run", *common, "--backend", "cuda"])
+    for backend in ("cuda", "numpy", "numba"):
+        with pytest.raises(SystemExit):
+            parser.parse_args(["run", *common, "--backend", backend])
 
 
 def test_cli_run_backend_byte_identical(tmp_path, capsys):

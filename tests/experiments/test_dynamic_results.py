@@ -223,7 +223,7 @@ class TestPlanning:
 
     def test_sweep_wide_invariant_policy_forces_singletons(self):
         units = _plan_units(
-            self._replicas(), None, ExecutionPolicy(invariant_sample=4)
+            self._replicas(), ExecutionPolicy(invariant_sample=4)
         )
         assert [len(u) for u in units] == [1, 1, 1, 1]
 

@@ -10,7 +10,7 @@ strategy, never an observable.
 :class:`MegaBatchedNetwork` extends the identical contract across
 *heterogeneous* members: every ``(member, replica)`` lane of a
 block-diagonal mega batch must match its own serial run bit for bit,
-for every kernel backend.
+and its own member's replica-batched run.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from repro.radio import (
     make_network,
     topology,
 )
-from repro.radio.kernels import kernel_names
 from repro.radio.faults import named_fault_models
 from repro.radio.message import message_of_ints
 from repro.rng import make_rng, spawn_streams
@@ -199,8 +198,13 @@ def test_single_replica_batch_degenerates_to_fast_engine():
 MEGA_MEMBERS = [("grid", 25, 24), ("star", 17, 8), ("cycle", 30, 30)]
 
 
-def _mega_bfs(collision_model, faults, kernel=None, member_order=None):
-    """Run Decay-BFS over three heterogeneous members, 2 lanes each."""
+def _mega_bfs(collision_model, faults, backend="megabatch", member_order=None):
+    """Run Decay-BFS over three heterogeneous members, 2 lanes each.
+
+    ``backend="megabatch"`` drives every lane through one fused
+    :class:`MegaBatchedNetwork`; ``None`` drives each member's replica
+    batch on its own (the mega network then only exposes the lanes).
+    """
     members_spec = (
         MEGA_MEMBERS if member_order is None
         else [MEGA_MEMBERS[i] for i in member_order]
@@ -213,10 +217,18 @@ def _mega_bfs(collision_model, faults, kernel=None, member_order=None):
         fault_seeds = [_replica_streams(s)[0] for s in seeds]
         member_nets.append(ReplicaBatchedNetwork(
             graph, len(seeds), collision_model=collision_model,
-            ledgers=ledgers, faults=faults, fault_seeds=fault_seeds,
-            kernel=kernel))
+            ledgers=ledgers, faults=faults, fault_seeds=fault_seeds))
         all_ledgers.append(ledgers)
-    net = MegaBatchedNetwork(member_nets, kernel=kernel)
+    net = MegaBatchedNetwork(member_nets)
+    if backend is None:
+        labels = {}
+        for m, (_, _, depth) in enumerate(members_spec):
+            lane_labels = decay_bfs_batch(
+                member_nets[m], [0], depth,
+                seeds=[_replica_streams(s)[1] for s in seeds])
+            labels.update(
+                {(m, r): lab for r, lab in enumerate(lane_labels)})
+        return members_spec, seeds, net, all_ledgers, labels
     labels = decay_bfs_mega(
         net,
         sources={m: [0] for m in range(len(members_spec))},
@@ -250,12 +262,12 @@ def test_mega_bfs_bit_identical_to_serial(preset, collision_model):
             assert net.lane((m, r)).fault_counters.as_dict() == ref_faults
 
 
-@pytest.mark.parametrize("kernel", sorted(kernel_names()))
-def test_mega_bfs_identical_on_every_kernel(kernel):
-    """Kernel choice (including the numba fallback) is unobservable."""
+@pytest.mark.parametrize("backend", [None, "megabatch"])
+def test_mega_bfs_identical_on_every_backend(backend):
+    """Fusing members into one mega batch is unobservable."""
     reference = _mega_bfs(CollisionModel.NO_CD, _fault_model("drop10"))
     alternate = _mega_bfs(CollisionModel.NO_CD, _fault_model("drop10"),
-                          kernel=kernel)
+                          backend=backend)
     assert alternate[4] == reference[4]
     for m in range(len(MEGA_MEMBERS)):
         for r in range(2):

@@ -1,10 +1,8 @@
-"""SlotKernel backends: registry, bit-identity, fallback, mega packing.
+"""The slot kernel: exact counts/codes, CSR compilation, mega packing.
 
-Every kernel computes exact int64 counts/codes, so any two backends
-must agree **bitwise** on any topology and any transmitter set — that
-is the whole contract that makes ``--backend`` safe.  The ``numba``
-backend must additionally work (by falling back) when its dependency
-is missing, which is the case in this environment.
+The kernel computes exact int64 counts/codes, so it must agree
+**bitwise** with a plain per-row loop over the CSR arrays on any
+topology and any transmitter set.
 """
 
 from __future__ import annotations
@@ -17,20 +15,10 @@ from repro.radio import topology
 from repro.radio.engine import make_network
 from repro.radio.engine_registry import (
     available_engines,
-    engine_registry_snapshot,
     get_engine,
     register_engine,
 )
-from repro.radio.fast_engine import CompiledTopology
-from repro.radio.kernels import (
-    CSRAdjacency,
-    MegaBatchPlan,
-    default_kernel,
-    get_kernel,
-    kernel_names,
-    register_kernel,
-    resolve_kernel,
-)
+from repro.radio.kernels import SCIPY_KERNEL, CSRAdjacency, MegaBatchPlan
 
 TOPOLOGIES = [("grid", 25), ("star", 17), ("barbell", 18), ("wheel", 20),
               ("path", 12), ("complete", 9)]
@@ -50,89 +38,55 @@ def _tx_sets(adj, seed=0):
     return [np.zeros(0, dtype=np.int64), full[:1], some.astype(np.int64), full]
 
 
-# ---------------------------------------------------------------------------
-# Registry surface
-# ---------------------------------------------------------------------------
-
-def test_kernel_registry_names_and_lookup():
-    assert set(kernel_names()) >= {"scipy", "numpy", "numba"}
-    for name in kernel_names():
-        assert get_kernel(name).name == name
-    with pytest.raises(ConfigurationError, match="unknown kernel"):
-        get_kernel("cuda")
-    with pytest.raises(ConfigurationError, match="already registered"):
-        register_kernel(get_kernel("numpy"))
-
-
-def test_resolve_kernel_coercions():
-    assert resolve_kernel(None) is default_kernel()
-    assert resolve_kernel("numpy") is get_kernel("numpy")
-    instance = get_kernel("scipy")
-    assert resolve_kernel(instance) is instance
-    # The default is always available — it must never itself fall back.
-    assert default_kernel().available()
+def _loop_counts_codes(adj, tx):
+    """Reference: walk each transmitter's CSR row, one neighbor at a time."""
+    counts = np.zeros(adj.n, dtype=np.int64)
+    codes = np.zeros(adj.n, dtype=np.int64)
+    for t in tx.tolist():
+        for v in adj.row(t).tolist():
+            counts[v] += 1
+            codes[v] += t + 1
+    return counts, codes
 
 
 # ---------------------------------------------------------------------------
-# Bit-identity across backends
+# Bit-identity against the per-row loop
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("name,n", TOPOLOGIES)
 def test_kernels_agree_bitwise(name, n):
     adj = _adjacency(name, n)
-    reference = get_kernel("scipy")
-    ref_state = reference.prepare(adj)
-    for kernel_name in kernel_names():
-        kernel = get_kernel(kernel_name)
-        state = kernel.prepare(adj)
-        for tx in _tx_sets(adj):
-            counts, codes = kernel.counts_codes(state, tx)
-            ref_counts, ref_codes = reference.counts_codes(ref_state, tx)
-            assert counts.dtype == np.int64 and codes.dtype == np.int64
-            np.testing.assert_array_equal(counts, ref_counts)
-            np.testing.assert_array_equal(codes, ref_codes)
+    state = SCIPY_KERNEL.prepare(adj)
+    for tx in _tx_sets(adj):
+        counts, codes = SCIPY_KERNEL.counts_codes(state, tx)
+        ref_counts, ref_codes = _loop_counts_codes(adj, tx)
+        assert counts.dtype == np.int64 and codes.dtype == np.int64
+        np.testing.assert_array_equal(counts, ref_counts)
+        np.testing.assert_array_equal(codes, ref_codes)
 
 
 def test_counts_codes_many_matches_single_calls():
     adj = _adjacency("grid", 36)
-    for kernel_name in kernel_names():
-        kernel = get_kernel(kernel_name)
-        state = kernel.prepare(adj)
-        tx_lists = _tx_sets(adj, seed=3)
-        many = kernel.counts_codes_many(state, tx_lists)
-        assert len(many) == len(tx_lists)
-        for (counts, codes), tx in zip(many, tx_lists):
-            ref_counts, ref_codes = kernel.counts_codes(state, tx)
-            np.testing.assert_array_equal(counts, ref_counts)
-            np.testing.assert_array_equal(codes, ref_codes)
+    state = SCIPY_KERNEL.prepare(adj)
+    tx_lists = _tx_sets(adj, seed=3)
+    many = SCIPY_KERNEL.counts_codes_many(state, tx_lists)
+    assert len(many) == len(tx_lists)
+    for (counts, codes), tx in zip(many, tx_lists):
+        ref_counts, ref_codes = SCIPY_KERNEL.counts_codes(state, tx)
+        np.testing.assert_array_equal(counts, ref_counts)
+        np.testing.assert_array_equal(codes, ref_codes)
 
 
 def test_unique_sender_decode_invariant():
     """Where count == 1, code - 1 is the unique transmitting neighbor."""
     adj = _adjacency("star", 17)
-    kernel = default_kernel()
-    state = kernel.prepare(adj)
+    state = SCIPY_KERNEL.prepare(adj)
     tx = np.array([1, 2], dtype=np.int64)  # two leaves transmit
-    counts, codes = kernel.counts_codes(state, tx)
+    counts, codes = SCIPY_KERNEL.counts_codes(state, tx)
     hub = counts == 2
     assert counts[0] == 2 and hub.sum() == 1  # only the hub hears both
     unique = counts == 1
     assert not unique.any() or np.isin(codes[unique] - 1, tx).all()
-
-
-def test_numba_backend_falls_back_gracefully():
-    """numba is not installed here: the kernel must still be correct."""
-    kernel = get_kernel("numba")
-    assert not kernel.available()  # this environment has no numba
-    adj = _adjacency("barbell", 18)
-    state = kernel.prepare(adj)
-    ref = get_kernel("scipy")
-    ref_state = ref.prepare(adj)
-    for tx in _tx_sets(adj, seed=7):
-        np.testing.assert_array_equal(
-            kernel.counts_codes(state, tx)[1],
-            ref.counts_codes(ref_state, tx)[1],
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -156,18 +110,6 @@ def test_csr_adjacency_matches_scipy_layout():
     assert adj.nnz == 2 * graph.number_of_edges()
 
 
-def test_compiled_topology_accepts_kernel_designations():
-    graph = topology.scenario("cycle", 12)
-    by_name = CompiledTopology(graph, kernel="numpy")
-    assert by_name.kernel.name == "numpy"
-    by_default = CompiledTopology(graph)
-    assert by_default.kernel is default_kernel()
-    tx = np.array([0, 5], dtype=np.int64)
-    np.testing.assert_array_equal(
-        by_name.counts_codes(tx)[1], by_default.counts_codes(tx)[1]
-    )
-
-
 # ---------------------------------------------------------------------------
 # Block-diagonal mega packing
 # ---------------------------------------------------------------------------
@@ -175,8 +117,7 @@ def test_compiled_topology_accepts_kernel_designations():
 def test_mega_plan_slices_equal_per_member_products():
     adjs = [_adjacency(name, n) for name, n in TOPOLOGIES]
     plan = MegaBatchPlan(adjs)
-    kernel = default_kernel()
-    states = [kernel.prepare(adj) for adj in adjs]
+    states = [SCIPY_KERNEL.prepare(adj) for adj in adjs]
     requests = []
     for m, adj in enumerate(adjs):
         for tx in _tx_sets(adj, seed=m):
@@ -184,7 +125,7 @@ def test_mega_plan_slices_equal_per_member_products():
     resolved = plan.counts_codes_many(requests)
     assert len(resolved) == len(requests)
     for (m, tx), (counts, codes) in zip(requests, resolved):
-        ref_counts, ref_codes = kernel.counts_codes(states[m], tx)
+        ref_counts, ref_codes = SCIPY_KERNEL.counts_codes(states[m], tx)
         np.testing.assert_array_equal(counts, ref_counts)
         np.testing.assert_array_equal(codes, ref_codes)
 
@@ -202,7 +143,58 @@ def test_mega_plan_order_independent():
 
 
 # ---------------------------------------------------------------------------
-# Engine registry + deprecation shim
+# One kernel: the selection surface is gone
+# ---------------------------------------------------------------------------
+
+def _kernel_designations():
+    from repro.radio.batch_engine import MegaBatchedNetwork, ReplicaBatchedNetwork
+    from repro.radio.fast_engine import CompiledTopology, FastRadioNetwork
+
+    graph = topology.scenario("path", 6)
+    return {
+        "CompiledTopology": lambda: CompiledTopology(graph, kernel="numpy"),
+        "FastRadioNetwork": lambda: FastRadioNetwork(graph, kernel="numpy"),
+        "ReplicaBatchedNetwork": lambda: ReplicaBatchedNetwork(
+            graph, 1, kernel="numpy"),
+        "MegaBatchedNetwork": lambda: MegaBatchedNetwork(
+            [ReplicaBatchedNetwork(graph, 1)], kernel="numpy"),
+        "MegaBatchPlan": lambda: MegaBatchPlan(
+            [_adjacency("path", 6)], kernel="numpy"),
+    }
+
+
+@pytest.mark.parametrize("owner", sorted(_kernel_designations()))
+def test_kernel_parameter_removed(owner):
+    with pytest.raises(TypeError, match="kernel"):
+        _kernel_designations()[owner]()
+
+
+@pytest.mark.parametrize("name", [
+    "SlotKernel", "register_kernel", "get_kernel", "kernel_names",
+    "default_kernel", "resolve_kernel",
+])
+def test_kernel_registry_removed(name):
+    import repro.radio.kernels as kernels
+
+    with pytest.raises(AttributeError, match=name):
+        getattr(kernels, name)
+
+
+@pytest.mark.parametrize("module", ["numpy_csr", "numba_csr"])
+def test_alternative_kernel_modules_removed(module):
+    import importlib
+
+    with pytest.raises(ModuleNotFoundError, match=module):
+        importlib.import_module(f"repro.radio.kernels.{module}")
+
+
+def test_scipy_kernel_is_unconditional():
+    """No availability probe and no fallback: scipy is a hard dependency."""
+    assert not hasattr(type(SCIPY_KERNEL), "available")
+
+
+# ---------------------------------------------------------------------------
+# Engine registry
 # ---------------------------------------------------------------------------
 
 def test_engine_registry_surface():
@@ -211,10 +203,13 @@ def test_engine_registry_surface():
         assert get_engine(name).name == name
     with pytest.raises(ConfigurationError, match="unknown engine"):
         get_engine("warp")
-    snapshot = engine_registry_snapshot()
-    snapshot["warp"] = object  # mutating the copy must not register
-    with pytest.raises(ConfigurationError, match="unknown engine"):
-        get_engine("warp")
+    # The registry is the one lookup: no module-level ENGINES dict.
+    import repro.radio as radio
+    from repro.radio import engine as engine_mod
+
+    for module in (radio, engine_mod):
+        with pytest.raises(AttributeError, match="ENGINES"):
+            module.ENGINES
 
 
 def test_register_engine_validation():
@@ -253,22 +248,3 @@ def test_make_network_uses_registry():
     assert make_network(graph, engine="reference").name == "reference"
     with pytest.raises(ConfigurationError, match="unknown engine"):
         make_network(graph, engine="warp")
-
-
-def test_engines_dict_deprecated_shim():
-    import importlib
-    import warnings
-
-    engine_mod = importlib.import_module("repro.radio.engine")
-    engine_mod._ENGINES_WARNED = False
-    with pytest.warns(DeprecationWarning, match="ENGINES is deprecated"):
-        engines = engine_mod.ENGINES
-    assert engines["fast"] is get_engine("fast")
-    # The shim warns exactly once per process.
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert engine_mod.ENGINES["reference"] is get_engine("reference")
-    # The package-level attribute delegates to the same shim.
-    import repro.radio as radio
-
-    assert radio.ENGINES.keys() == engines.keys()

@@ -17,16 +17,19 @@ class TestEventTrace:
         assert t.of_kind("receive")[0].subject == "b"
         assert t.for_subject("a")[0].slot == 0
 
-    def test_capacity_drops_silently(self):
-        t = EventTrace(capacity=2)
-        for i in range(5):
-            t.record(i, "x", i)
-        assert len(t) == 2
-
     def test_empty_queries(self):
         t = EventTrace()
         assert t.of_kind("nope") == []
         assert t.for_subject("nobody") == []
+
+    def test_keeps_every_event(self):
+        """No capacity option: a trace never drops an event."""
+        t = EventTrace()
+        for i in range(5):
+            t.record(i, "x", i)
+        assert [e.slot for e in t] == list(range(5))
+        with pytest.raises(TypeError, match="capacity"):
+            EventTrace(capacity=2)  # type: ignore[call-arg]
 
 
 class TestAction:
