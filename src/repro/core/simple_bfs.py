@@ -43,7 +43,7 @@ from ..primitives.decay import (
 from ..primitives.lb_graph import LBGraph
 from ..radio.engine import Engine, coerce_network
 from ..radio.message import message_of_ints
-from ..rng import SeedLike, make_rng
+from ..rng import StreamSeed, StreamTree
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..radio.batch_engine import MegaBatchedNetwork, ReplicaBatchedNetwork
@@ -123,7 +123,7 @@ def decay_bfs(
     sources: Union[Hashable, Iterable[Hashable]],
     depth_budget: int,
     failure_probability: float = 1e-3,
-    seed: SeedLike = None,
+    seed: StreamSeed = None,
     engine: Optional[str] = None,
     tx_power: int = 0,
 ) -> Dict[Hashable, float]:
@@ -141,11 +141,18 @@ def decay_bfs(
     matching :func:`trivial_bfs`.  ``tx_power`` is the frontier
     senders' standing SINR power level (ignored by the binary collision
     models).
+
+    Every phase spawns its devices from one
+    :class:`~repro.rng.StreamTree` over ``seed``: the same per-device
+    streams as spawning each phase from ``make_rng(seed)``, built only
+    for the senders that draw.  A caller's Generator ends the run with
+    its child counter advanced past every phase, as if each phase had
+    spawned from it.
     """
     network = coerce_network(network, engine)
     source_set = _coerce_sources(network.graph, sources)
     monitor = getattr(network, "invariant_monitor", None)
-    rng = make_rng(seed)
+    streams = StreamTree.adopt(seed)
     dist: Dict[Hashable, float] = {s: 0.0 for s in source_set}
     if monitor is not None:
         monitor.observe_labels(dist)
@@ -162,7 +169,7 @@ def decay_bfs(
             messages,
             receivers,
             failure_probability=failure_probability,
-            seed=rng,
+            seed=streams,
             tx_power=tx_power,
         )
         for v, msg in heard.items():
@@ -171,6 +178,8 @@ def decay_bfs(
         if monitor is not None:
             monitor.observe_labels(dist)
 
+    if streams is not seed:
+        streams.sync()
     for v in network.graph.nodes:
         dist.setdefault(v, math.inf)
     return dist
@@ -181,7 +190,7 @@ def decay_bfs_batch(
     sources: Union[Hashable, Iterable[Hashable]],
     depth_budget: int,
     failure_probability: float = 1e-3,
-    seeds: Optional[Sequence[SeedLike]] = None,
+    seeds: Optional[Sequence[StreamSeed]] = None,
     tx_power: int = 0,
 ) -> List[Dict[Hashable, float]]:
     """:func:`decay_bfs` for every replica lane of a batched network.
@@ -209,7 +218,7 @@ def decay_bfs_batch(
             f"for {replicas} lanes"
         )
     source_set = _coerce_sources(network.graph, sources)
-    rngs = [make_rng(s) for s in seeds]
+    trees = [StreamTree.adopt(s) for s in seeds]
     dist: List[Dict[Hashable, float]] = [
         {s: 0.0 for s in source_set} for _ in range(replicas)
     ]
@@ -233,7 +242,7 @@ def decay_bfs_batch(
             network,
             rounds,
             failure_probability=failure_probability,
-            seeds={r: rngs[r] for r in active},
+            seeds={r: trees[r] for r in active},
             tx_power=tx_power,
         )
         for r, heard in heard_by_lane.items():
@@ -241,6 +250,9 @@ def decay_bfs_batch(
                 hop = msg.payload[0]
                 dist[r][v] = float(hop) + 1.0
 
+    for tree, seed in zip(trees, seeds):
+        if tree is not seed:
+            tree.sync()
     for labels in dist:
         for v in vertices:
             labels.setdefault(v, math.inf)
@@ -252,7 +264,7 @@ def decay_bfs_mega(
     sources: Mapping[int, Union[Hashable, Iterable[Hashable]]],
     depth_budgets: Mapping[int, int],
     failure_probabilities: Union[float, Mapping[int, float]] = 1e-3,
-    seeds: Optional[Mapping[Tuple[int, int], SeedLike]] = None,
+    seeds: Optional[Mapping[Tuple[int, int], StreamSeed]] = None,
     tx_power: Union[int, Mapping[int, int]] = 0,
 ) -> Dict[Tuple[int, int], Dict[Hashable, float]]:
     """:func:`decay_bfs` for every lane of a heterogeneous mega batch.
@@ -288,7 +300,7 @@ def decay_bfs_mega(
         for m, member in enumerate(network.members)
         for r in range(member.replicas)
     ]
-    rngs = {key: make_rng(seeds.get(key)) for key in keys}
+    trees = {key: StreamTree.adopt(seeds.get(key)) for key in keys}
     dist: Dict[Tuple[int, int], Dict[Hashable, float]] = {
         (m, r): {s: 0.0 for s in source_sets[m]} for m, r in keys
     }
@@ -315,7 +327,7 @@ def decay_bfs_mega(
             network,
             rounds,
             failure_probability=failure_probabilities,
-            seeds={key: rngs[key] for key in active},
+            seeds={key: trees[key] for key in active},
             tx_power=tx_power,
         )
         for key, heard in heard_by_lane.items():
@@ -324,6 +336,9 @@ def decay_bfs_mega(
                 dist[key][v] = float(hop) + 1.0
         d += 1
 
+    for key, tree in trees.items():
+        if tree is not seeds.get(key):
+            tree.sync()
     for (m, _), labels in dist.items():
         for v in vertices[m]:
             labels.setdefault(v, math.inf)

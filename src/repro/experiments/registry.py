@@ -48,7 +48,7 @@ from ..radio.energy import EnergyLedger
 from ..radio.engine import Engine, SlotExecutorView, make_network
 from ..radio.faults import FaultCounters
 from ..radio.invariants import InvariantMonitor
-from ..rng import spawn_streams
+from ..rng import StreamTree, spawn_streams
 from .results import encode_labels, labels_digest
 from .spec import ExperimentSpec
 
@@ -578,12 +578,15 @@ def _run_trivial_bfs(ctx: RunContext) -> Dict[str, Any]:
 def _run_decay_bfs(ctx: RunContext) -> Dict[str, Any]:
     """Slot-level layered BFS via Decay, on the spec's engine tier."""
     net = ctx.network()
+    # The protocol stream serves this run alone: a tree over it that is
+    # never synced back derives the same device streams without paying
+    # for the Generator's child counter.
     labels = decay_bfs(
         net,
         ctx.sources(),
         ctx.depth_budget(),
         failure_probability=float(ctx.params.get("failure_probability", 1e-3)),
-        seed=ctx.rng,
+        seed=StreamTree(ctx.rng),
         tx_power=int(ctx.params.get("tx_power", 0)),
     )
     out = _labels_output(ctx, labels)
@@ -607,7 +610,7 @@ def _run_decay_bfs_batch(bctx: BatchRunContext) -> List[Dict[str, Any]]:
         first.sources(),
         first.depth_budget(),
         failure_probability=float(bctx.params.get("failure_probability", 1e-3)),
-        seeds=[ctx.rng for ctx in bctx.contexts],
+        seeds=[StreamTree(ctx.rng) for ctx in bctx.contexts],
         tx_power=int(bctx.params.get("tx_power", 0)),
     )
     outputs: List[Dict[str, Any]] = []
@@ -641,7 +644,7 @@ def _run_decay_bfs_mega(mctx: MegaRunContext) -> List[List[Dict[str, Any]]]:
             for m, group in enumerate(mctx.members)
         },
         seeds={
-            (m, r): ctx.rng
+            (m, r): StreamTree(ctx.rng)
             for m, group in enumerate(mctx.members)
             for r, ctx in enumerate(group)
         },

@@ -17,6 +17,10 @@ Costs (matching the lemma): senders spend ``O(log 1/f)`` slots;
 receivers that hear a message spend ``O(log Delta)`` slots in
 expectation (they stop after the first reception); receivers that hear
 nothing spend ``Theta(log Delta log 1/f)`` slots.
+
+Only senders draw randomness.  Spawned from a
+:class:`~repro.rng.StreamTree`, receivers and sleepers hold unbuilt
+streams and never pay for a Generator.
 """
 
 from __future__ import annotations
@@ -36,13 +40,12 @@ from typing import (
 )
 
 import networkx as nx
-import numpy as np
 
 from ..radio.channel import Reception
 from ..radio.device import Action, Device
 from ..radio.engine import Engine, coerce_network
 from ..radio.message import Message
-from ..rng import SeedLike, geometric_decay_slot
+from ..rng import Stream, StreamSeed, geometric_decay_slot
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..radio.batch_engine import MegaBatchedNetwork, ReplicaBatchedNetwork
@@ -90,7 +93,7 @@ class DecaySender(Device):
     def __init__(
         self,
         vertex: Hashable,
-        rng: np.random.Generator,
+        rng: Stream,
         message: Message,
         params: DecayParameters,
         start_slot: int = 0,
@@ -103,6 +106,7 @@ class DecaySender(Device):
         self.start_slot = start_slot
         self._end_slot = start_slot + params.total_slots
         self._slots: Set[int] = set()
+        rng = self.rng
         for it in range(params.iterations):
             offset = geometric_decay_slot(rng, params.window) - 1
             self._slots.add(it * params.window + offset)
@@ -122,7 +126,7 @@ class DecayReceiver(Device):
     def __init__(
         self,
         vertex: Hashable,
-        rng: np.random.Generator,
+        rng: Stream,
         params: DecayParameters,
         start_slot: int = 0,
     ) -> None:
@@ -149,7 +153,7 @@ class DecayReceiver(Device):
 class _SleepingDevice(Device):
     """Non-participant: sleeps for the whole protocol (zero energy)."""
 
-    def __init__(self, vertex: Hashable, rng: np.random.Generator) -> None:
+    def __init__(self, vertex: Hashable, rng: Stream) -> None:
         super().__init__(vertex, rng)
         self.halted = True
 
@@ -159,7 +163,7 @@ def run_decay_local_broadcast(
     messages: Mapping[Hashable, Message],
     receivers: Iterable[Hashable],
     failure_probability: float = 1e-3,
-    seed=None,
+    seed: StreamSeed = None,
     engine: Optional[str] = None,
     tx_power: int = 0,
 ) -> Dict[Hashable, Message]:
@@ -174,6 +178,9 @@ def run_decay_local_broadcast(
 
     Returns ``{receiver: message}`` for every receiver that heard one.
     Senders and receivers must be disjoint; all other vertices sleep.
+    ``seed`` is a plain seed or the :class:`~repro.rng.StreamTree` a
+    multi-phase caller threads across its phases (see
+    :func:`~repro.radio.network.spawn_device_map`).
     """
     network = coerce_network(network, engine)
     receiver_set = set(receivers)
@@ -185,7 +192,7 @@ def run_decay_local_broadcast(
     params = DecayParameters.for_network(network.max_degree, failure_probability)
     start_slot = network.slot
 
-    def factory(vertex: Hashable, rng: np.random.Generator) -> Device:
+    def factory(vertex: Hashable, rng: Stream) -> Device:
         if vertex in sender_set:
             return DecaySender(
                 vertex, rng, messages[vertex], params, start_slot,
@@ -210,7 +217,7 @@ def run_decay_local_broadcast_batch(
     network: "ReplicaBatchedNetwork",
     rounds: Mapping[int, Tuple[Mapping[Hashable, Message], Iterable[Hashable]]],
     failure_probability: float = 1e-3,
-    seeds: Optional[Mapping[int, SeedLike]] = None,
+    seeds: Optional[Mapping[int, StreamSeed]] = None,
     tx_power: int = 0,
 ) -> Dict[int, Dict[Hashable, Message]]:
     """One Decay Local-Broadcast per replica lane, in lockstep.
@@ -244,7 +251,7 @@ def run_decay_local_broadcast_batch(
 
         def factory(
             vertex: Hashable,
-            rng: np.random.Generator,
+            rng: Stream,
             messages: Mapping[Hashable, Message] = messages,
             sender_set: Set[Hashable] = sender_set,
             receiver_set: Set[Hashable] = receiver_set,
@@ -285,7 +292,7 @@ def run_decay_local_broadcast_mega(
         Tuple[Mapping[Hashable, Message], Iterable[Hashable]],
     ],
     failure_probability: Union[float, Mapping[int, float]] = 1e-3,
-    seeds: Optional[Mapping[Tuple[int, int], SeedLike]] = None,
+    seeds: Optional[Mapping[Tuple[int, int], StreamSeed]] = None,
     tx_power: Union[int, Mapping[int, int]] = 0,
 ) -> Dict[Tuple[int, int], Dict[Hashable, Message]]:
     """One Decay Local-Broadcast per lane, fused across *members*.
@@ -341,7 +348,7 @@ def run_decay_local_broadcast_mega(
 
         def factory(
             vertex: Hashable,
-            rng: np.random.Generator,
+            rng: Stream,
             messages: Mapping[Hashable, Message] = messages,
             sender_set: Set[Hashable] = sender_set,
             receiver_set: Set[Hashable] = receiver_set,

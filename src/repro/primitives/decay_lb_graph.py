@@ -24,7 +24,7 @@ from ..errors import ConfigurationError
 from ..radio.energy import EnergyLedger
 from ..radio.engine import Engine, coerce_network
 from ..radio.message import Message, id_bits
-from ..rng import SeedLike, make_rng
+from ..rng import SeedLike, StreamTree
 from .decay import run_decay_local_broadcast
 from .lb_graph import LBGraph
 
@@ -63,7 +63,10 @@ class DecayLBGraph(LBGraph):
         network = coerce_network(network, engine)
         self.network = network
         self.failure_probability = failure_probability
-        self.rng = make_rng(seed)
+        # One stream tree across every Decay call; synced after each, so
+        # a caller's Generator advances exactly as if each call had
+        # spawned its population from it.
+        self._streams = StreamTree(seed)
         n = network.graph.number_of_nodes()
         default_bits = 4 * id_bits(max(2, n))
         self._payload_bits = payload_bits or (lambda payload: default_bits)
@@ -125,6 +128,7 @@ class DecayLBGraph(LBGraph):
             wire,
             receiver_list,
             failure_probability=self.failure_probability,
-            seed=self.rng,
+            seed=self._streams,
         )
+        self._streams.sync()
         return {v: msg.payload for v, msg in heard.items()}

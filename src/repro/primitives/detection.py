@@ -21,12 +21,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Hashable, Iterable, Set
 
+import numpy as np
 
 from ..radio.channel import CollisionModel, Feedback, Reception
 from ..radio.device import Action, Device
 from ..radio.message import message_of_ints
 from ..radio.network import RadioNetwork
-from ..rng import SeedLike, make_rng
+from ..rng import SeedLike, Stream, StreamTree
 from .decay import run_decay_local_broadcast
 
 
@@ -100,7 +101,9 @@ def detect_with_cd(
         d.halted = True
         return d
 
-    devices = network.spawn_devices(factory, seed=seed)
+    streams = StreamTree(seed)
+    devices = network.spawn_devices(factory, seed=streams)
+    streams.sync()
     network.run(devices, max_slots=window)
     detected = {
         v for v in prober_set if getattr(devices[v].inner, "detected", False)
@@ -124,7 +127,7 @@ def detect_without_cd(
     """
     active_set = set(active)
     prober_set = set(probers) - active_set
-    rng = make_rng(seed)
+    streams = StreamTree(seed)
     before = network.slot
     messages = {v: message_of_ints(v, 1, kind="probe") for v in active_set}
     heard = run_decay_local_broadcast(
@@ -132,8 +135,9 @@ def detect_without_cd(
         messages,
         prober_set,
         failure_probability=failure_probability,
-        seed=rng,
+        seed=streams,
     )
+    streams.sync()
     return DetectionReport(
         detected=set(heard), slots_used=network.slot - before
     )
@@ -147,7 +151,17 @@ class _ShiftedDevice(Device):
         # which routes through the property below.
         self.inner = inner
         self.start_slot = start_slot
-        super().__init__(inner.vertex, inner.rng)
+        super().__init__(inner.vertex, inner._stream)
+
+    # One stream per device: draws go to the inner device's, which is
+    # built only if someone draws.
+    @property
+    def rng(self) -> np.random.Generator:
+        return self.inner.rng
+
+    @rng.setter
+    def rng(self, value: Stream) -> None:
+        self.inner.rng = value
 
     @property
     def halted(self) -> bool:  # type: ignore[override]

@@ -67,7 +67,7 @@ import networkx as nx
 import numpy as np
 
 from ..errors import ConfigurationError, SimulationError
-from ..rng import SeedLike
+from ..rng import SeedLike, Stream, StreamSeed
 from .channel import CollisionModel, Feedback, Reception
 from .device import ActionKind, Device
 from .energy import EnergyLedger
@@ -246,8 +246,8 @@ class ReplicaBatchedNetwork:
 
     def spawn_devices(
         self,
-        factory: Callable[[Hashable, np.random.Generator], Device],
-        seed: SeedLike = None,
+        factory: Callable[[Hashable, Stream], Device],
+        seed: StreamSeed = None,
     ) -> Dict[Hashable, Device]:
         """Instantiate one device per vertex with independent RNG streams.
 

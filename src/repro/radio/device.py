@@ -7,7 +7,10 @@ calls :meth:`Device.receive` on listeners with the channel feedback.
 
 Devices hold a *private* random stream (the model has no shared
 randomness) and never read global state: everything a device knows it
-learned from its own inputs and received messages.
+learned from its own inputs and received messages.  The stream may
+arrive unbuilt (a :class:`~repro.rng.LazyStream`); :attr:`Device.rng`
+builds its Generator on first access, so a device that never draws
+never pays for one.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from typing import Any, Hashable, Optional
 
 import numpy as np
 
+from ..rng import LazyStream, Stream
 from .channel import Reception
 from .message import Message
 
@@ -80,10 +84,22 @@ class Device:
     #: Ignored by the binary collision models.
     power_level: int = 0
 
-    def __init__(self, vertex: Hashable, rng: np.random.Generator) -> None:
+    def __init__(self, vertex: Hashable, rng: Stream) -> None:
         self.vertex = vertex
-        self.rng = rng
+        self._stream = rng
         self.halted = False
+
+    @property
+    def rng(self) -> np.random.Generator:
+        """The device's private Generator, built on first access."""
+        stream = self._stream
+        if isinstance(stream, LazyStream):
+            stream = self._stream = stream.generator()
+        return stream
+
+    @rng.setter
+    def rng(self, value: Stream) -> None:
+        self._stream = value
 
     def step(self, slot: int) -> Action:
         """Return the device's action for time ``slot``.

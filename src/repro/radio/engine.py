@@ -26,10 +26,9 @@ from __future__ import annotations
 from typing import Callable, Dict, Hashable, Mapping, Optional, Protocol, Union, runtime_checkable
 
 import networkx as nx
-import numpy as np
 
 from ..errors import ConfigurationError
-from ..rng import SeedLike
+from ..rng import Stream, StreamSeed
 from .channel import CollisionModel
 from .device import Device
 from .engine_registry import available_engines, get_engine, register_engine
@@ -94,8 +93,8 @@ class Engine(Protocol):
 
     def spawn_devices(
         self,
-        factory: Callable[[Hashable, np.random.Generator], Device],
-        seed: SeedLike = None,
+        factory: Callable[[Hashable, Stream], Device],
+        seed: StreamSeed = None,
     ) -> Dict[Hashable, Device]:
         """Instantiate one device per vertex with independent streams."""
         ...

@@ -40,10 +40,9 @@ from typing import (
 )
 
 import networkx as nx
-import numpy as np
 
 from ..errors import ConfigurationError, SimulationError
-from ..rng import SeedLike, make_rng, spawn_streams
+from ..rng import SeedLike, Stream, StreamSeed, StreamTree, make_rng, spawn_streams
 from .channel import CollisionModel, Feedback, Reception, resolve
 from .device import ActionKind, Device
 from .dynamic import DynamicTopology, TopologyPatch
@@ -117,19 +116,22 @@ def validate_population(
 
 def spawn_device_map(
     vertices: List[Hashable],
-    factory: Callable[[Hashable, np.random.Generator], Device],
-    seed: SeedLike = None,
+    factory: Callable[[Hashable, Stream], Device],
+    seed: StreamSeed = None,
 ) -> Dict[Hashable, Device]:
     """One device per vertex, each with an independent derived stream.
 
     The single implementation of the determinism-critical derivation
-    (``make_rng`` then one ``spawn_streams`` child per vertex, in vertex
-    order) that both the serial engines and the batched lanes build
-    populations with — the engines' bit-identity contract depends on
-    every executor deriving device randomness identically.
+    (one ``spawn_streams`` child per vertex, in vertex order) that both
+    the serial engines and the batched lanes build populations with —
+    the engines' bit-identity contract depends on every executor
+    deriving device randomness identically.  A plain seed goes through
+    ``make_rng`` and yields built Generators; a
+    :class:`~repro.rng.StreamTree` yields the same children as lazy
+    streams, built only by the devices that draw.
     """
-    rng = make_rng(seed)
-    streams = spawn_streams(rng, len(vertices))
+    source = seed if isinstance(seed, StreamTree) else make_rng(seed)
+    streams = spawn_streams(source, len(vertices))
     return {v: factory(v, s) for v, s in zip(vertices, streams)}
 
 
@@ -359,8 +361,8 @@ class SlotEngineBase:
     # ------------------------------------------------------------------
     def spawn_devices(
         self,
-        factory: Callable[[Hashable, np.random.Generator], Device],
-        seed: SeedLike = None,
+        factory: Callable[[Hashable, Stream], Device],
+        seed: StreamSeed = None,
     ) -> Dict[Hashable, Device]:
         """Instantiate one device per vertex with independent RNG streams."""
         return spawn_device_map(list(self.graph.nodes), factory, seed)

@@ -38,11 +38,24 @@ def _relabel(graph: nx.Graph) -> nx.Graph:
     return nx.relabel_nodes(graph, mapping, copy=True)
 
 
-def _giant_component(graph: nx.Graph) -> nx.Graph:
-    """Return the largest connected component, relabelled."""
+def _giant_component(graph: nx.Graph, reuse_whole: bool = False) -> nx.Graph:
+    """Return the largest connected component, relabelled.
+
+    The subgraph and relabel copies rebuild every adjacency list with
+    its earlier-labelled neighbors first.  A builder whose adjacency is
+    already in that order passes ``reuse_whole``: when the component is
+    every vertex and the labels are already ``0..n-1``, the graph comes
+    back as itself, identical to the copy and without its cost.
+    """
     if graph.number_of_nodes() == 0:
         return graph
     largest = max(nx.connected_components(graph), key=len)
+    if (
+        reuse_whole
+        and len(largest) == graph.number_of_nodes()
+        and all(v == i for i, v in enumerate(graph))
+    ):
+        return graph
     return _relabel(graph.subgraph(largest).copy())
 
 
@@ -113,7 +126,7 @@ def random_geometric(n: int, radius: Optional[float] = None,
     positions = {i: (float(x), float(y)) for i, (x, y) in
                  enumerate(rng.random(size=(n, 2)))}
     graph = nx.random_geometric_graph(n, radius, pos=positions)
-    giant = _giant_component(graph)
+    giant = _giant_component(graph, reuse_whole=True)
     # The connectivity radius rides along as a graph attribute (node
     # positions already do, as ``pos``): mobility re-wiring in
     # repro.radio.dynamic recomputes links from exactly this geometry.
@@ -156,7 +169,7 @@ def erdos_renyi(n: int, p: Optional[float] = None, seed: SeedLike = None) -> nx.
     if p is None:
         p = min(1.0, 2.0 * math.log(max(2, n)) / n)
     graph = nx.fast_gnp_random_graph(n, p, seed=int(rng.integers(0, 2**31)))
-    return _giant_component(graph)
+    return _giant_component(graph, reuse_whole=True)
 
 
 def caterpillar(spine: int, legs_per_vertex: int = 2) -> nx.Graph:
