@@ -1,4 +1,7 @@
-"""Ablation benchmarks for the design choices DESIGN.md calls out.
+"""Ablation benchmarks for Recursive-BFS's design choices.
+
+All runs use the charged shortcuts of ARCHITECTURE.md, "Charged
+shortcuts on the LB tier".
 
 - **beta sweep**: the stage length `beta^{-1}` trades clustering cost
   (`O~(beta^{-1})` per vertex) against per-stage wavefront work — the

@@ -9,7 +9,8 @@ which by property (2) of the slot subsets gives every vertex an
 interference-free step w.h.p.  Total time is ``ell * D`` Local-Broadcast
 rounds; each vertex participates in ``O(|S_C|) = O(log n)`` of them.
 
-Two execution modes (DESIGN.md §3.2–3.3):
+Two execution modes (ARCHITECTURE.md, "Charged shortcuts on the LB
+tier"):
 
 - ``FAITHFUL`` — runs the literal step loop, every step one
   ``local_broadcast`` on the underlying ``LBGraph`` (so neighboring

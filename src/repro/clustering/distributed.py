@@ -10,7 +10,7 @@ Costs, matching Lemma 2.5: every vertex participates in at most ``T``
 Local-Broadcasts — ``O(log(n)/beta)`` LB units, i.e. ``O(log^3(n)/beta)``
 slots after the Lemma 2.4 conversion.
 
-Two variants (DESIGN.md §3.3):
+Two variants (ARCHITECTURE.md, "Charged shortcuts on the LB tier"):
 
 - :func:`distributed_mpx` — the honest protocol, LB call by LB call;
 - :func:`charged_mpx` — computes the identical structure centrally on
@@ -52,9 +52,10 @@ def distributed_mpx(
     horizon = params.horizon
 
     for round_index in range(1, horizon + 1):
-        for v in sorted(
-            (v for v in unclustered if shifts.start_time[v] == round_index), key=repr
-        ):
+        # Buckets keep ``vertices`` order, so new centers come in repr order.
+        for v in shifts.centers_at(round_index):
+            if v not in unclustered:
+                continue
             center_of[v] = v
             layer_of[v] = 0
             members[v] = {v}

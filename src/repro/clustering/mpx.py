@@ -9,7 +9,7 @@ distributed Local-Broadcast implementation).
 This centralized routine is the ground truth against which the
 distributed implementation (``repro.clustering.distributed``) is
 validated, and the fast path used by the charged-cost clustering
-shortcut (DESIGN.md §3.3).
+shortcut (ARCHITECTURE.md, "Charged shortcuts on the LB tier").
 """
 
 from __future__ import annotations
@@ -137,6 +137,12 @@ def mpx_clustering(
     neighbor's layer + 1.  This matches the distributed construction of
     Lemma 2.5 exactly, so the distributed implementation can be
     validated against it distributionally.
+
+    Cost: ``O(n log n + m)``, independent of the horizon ``T``.  Each
+    round touches only that round's new centers and its frontier (the
+    unclustered vertices with a clustered neighbor), every vertex reads
+    its adjacency once, and rounds in which nothing can change are
+    skipped.
     """
     if graph.number_of_nodes() == 0:
         raise ConfigurationError("cannot cluster an empty graph")
@@ -149,43 +155,65 @@ def mpx_clustering(
     center_of: Dict[Hashable, Hashable] = {}
     layer_of: Dict[Hashable, int] = {}
     members: Dict[Hashable, Set[Hashable]] = {}
-    unclustered: Set[Hashable] = set(graph.nodes)
+    # Draw order: a vertex's position in the iteration order of
+    # ``set(graph.nodes)`` (ARCHITECTURE.md, "Charged shortcuts on the LB
+    # tier").
+    position = {v: i for i, v in enumerate(set(graph.nodes))}
+    remaining = len(position)
     horizon = params.horizon
+    start_rounds = iter(sorted(shifts.buckets))
+    # Unclustered vertices with a clustered neighbor, plus stale entries
+    # (vertices clustered since they were pushed) skipped on use.
+    frontier: Set[Hashable] = set()
 
     rounds_used = 0
-    for round_index in range(1, horizon + 1):
-        if not unclustered:
+    round_index = 0
+    while remaining:
+        # An idle round (no frontier) changes nothing: skip to the next
+        # round in which some vertex starts.
+        if frontier:
+            round_index += 1
+        else:
+            round_index = next(
+                (r for r in start_rounds if r > round_index), horizon + 1
+            )
+        if round_index > horizon:
             break
         rounds_used = round_index
         # New centers.
-        for v in sorted(
-            (v for v in unclustered if shifts.start_time[v] == round_index), key=repr
-        ):
-            center_of[v] = v
-            layer_of[v] = 0
-            members[v] = {v}
-            unclustered.discard(v)
+        for v in sorted(shifts.buckets.get(round_index, ()), key=repr):
+            if v in position and v not in center_of:
+                center_of[v] = v
+                layer_of[v] = 0
+                members[v] = {v}
+                remaining -= 1
+                frontier.update(graph.neighbors(v))
         # One hop of growth: each unclustered vertex with clustered
         # neighbors joins one uniformly at random (the arbitrary single
-        # delivery of Local-Broadcast).
-        joiners: List[Tuple[Hashable, Hashable]] = []
-        for v in unclustered:
-            clustered_neighbors = [u for u in graph.neighbors(v) if u in center_of]
-            if clustered_neighbors:
-                pick = clustered_neighbors[int(rng.integers(len(clustered_neighbors)))]
-                joiners.append((v, pick))
-        for v, parent in joiners:
+        # delivery of Local-Broadcast).  Every such vertex is on the
+        # frontier, and all of them join this round.
+        joiners: List[Tuple[Hashable, Hashable, List[Hashable]]] = []
+        for v in sorted(
+            (v for v in frontier if v not in center_of), key=position.__getitem__
+        ):
+            neighbors = list(graph.neighbors(v))
+            clustered_neighbors = [u for u in neighbors if u in center_of]
+            pick = clustered_neighbors[int(rng.integers(len(clustered_neighbors)))]
+            joiners.append((v, pick, neighbors))
+        frontier = set()
+        for v, parent, neighbors in joiners:
             cluster = center_of[parent]
             center_of[v] = cluster
             layer_of[v] = layer_of[parent] + 1
             members[cluster].add(v)
-            unclustered.discard(v)
+            remaining -= 1
+            frontier.update(neighbors)
 
-    if unclustered:
+    if remaining:
         # Every vertex starts its own cluster by round start_v <= T, so
         # this can only happen through a bug.
         raise SimulationError(
-            f"{len(unclustered)} vertices left unclustered after {horizon} rounds"
+            f"{remaining} vertices left unclustered after {horizon} rounds"
         )
 
     return Clustering(

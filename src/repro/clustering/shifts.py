@@ -6,15 +6,15 @@ where ``T = radius_multiplier * ln(n) / beta`` is the horizon.  The
 paper uses ``T = 4 log(n) / beta``, under which all start times are
 positive with probability ``1 - 1/n^3``; we expose the multiplier and
 clamp the rare overshoot to round 1 (equivalent to conditioning on the
-w.h.p. event, as the paper's analysis does — see DESIGN.md §3.3).
+w.h.p. event, as the paper's analysis does — see ARCHITECTURE.md,
+"Charged shortcuts on the LB tier").
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Dict, Hashable, Iterable
-
+from dataclasses import dataclass, field
+from typing import Dict, Hashable, Iterable, List
 
 from ..errors import ConfigurationError
 from ..rng import SeedLike, make_rng
@@ -59,11 +59,22 @@ class ShiftParameters:
 
 @dataclass(frozen=True)
 class Shifts:
-    """Sampled shifts and derived integer start times."""
+    """Sampled shifts and derived integer start times.
+
+    ``buckets`` maps each start round to the vertices starting in it, in
+    ``start_time`` order; it is derived once, at construction.
+    """
 
     params: ShiftParameters
     delta: Dict[Hashable, float]
     start_time: Dict[Hashable, int]
+    buckets: Dict[int, List[Hashable]] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        buckets: Dict[int, List[Hashable]] = {}
+        for v, s in self.start_time.items():
+            buckets.setdefault(s, []).append(v)
+        object.__setattr__(self, "buckets", buckets)
 
     @classmethod
     def sample(
@@ -88,4 +99,4 @@ class Shifts:
 
     def centers_at(self, round_index: int) -> list:
         """Vertices whose start time is exactly ``round_index``."""
-        return [v for v, s in self.start_time.items() if s == round_index]
+        return list(self.buckets.get(round_index, ()))

@@ -6,7 +6,8 @@ depth ``L = sqrt(log D0 / log log n)``, with ``w = Theta(log n)`` a
 distance proxy conversions.
 
 Exact proof constants are astronomically conservative at laptop scale,
-so this module derates them (DESIGN.md §3.3) while keeping the paper's
+so this module derates them (ARCHITECTURE.md, "Charged shortcuts on
+the LB tier") while keeping the paper's
 functional forms.  In particular the distance-proxy conversion uses the
 empirically-grounded affine form
 
@@ -52,7 +53,8 @@ class BFSParameters:
         Up/Down-cast slot table length multiplier
         (``ell = slot_multiplier * contention * ln n``).
     cast_mode:
-        FAST (default) or FAITHFUL cast execution (DESIGN.md §3.2).
+        FAST (default) or FAITHFUL cast execution (ARCHITECTURE.md,
+        "Charged shortcuts on the LB tier").
     use_distributed_clustering:
         Run the honest Lemma 2.5 protocol instead of the charged
         shortcut when building each level's cluster graph.

@@ -8,7 +8,8 @@ recursively running the *same* algorithm on the Miller–Peng–Xu cluster
 graph ``G*`` — simulated over the real network via Lemma 3.2 — with the
 Z-sequence deciding how deep each Special Update searches.
 
-Structure of this implementation (see DESIGN.md):
+Structure of this implementation (charged shortcuts: ARCHITECTURE.md,
+"Charged shortcuts on the LB tier"):
 
 - every graph in the recursion is an ``LBGraph``; level 0 is the
   physical network, level ``r`` is a ``ClusterLBGraph`` stacked on
@@ -18,7 +19,7 @@ Structure of this implementation (see DESIGN.md):
 - recursion depth is capped at ``params.max_depth``, below which the
   trivial wavefront BFS runs (Section 4.3);
 - distance-proxy conversions use the affine derated constants of
-  :class:`~repro.core.parameters.BFSParameters` (DESIGN.md §3.3).
+  :class:`~repro.core.parameters.BFSParameters`.
 """
 
 from __future__ import annotations

@@ -1,6 +1,7 @@
 """FAST vs FAITHFUL cast modes: same deliveries, same time accounting.
 
-The FAST mode is a measured shortcut (DESIGN.md §3.2); these tests pin
+The FAST mode is a measured shortcut (ARCHITECTURE.md, "Charged
+shortcuts on the LB tier"); these tests pin
 down the agreement contract it must keep with the literal step loop.
 """
 
