@@ -198,7 +198,7 @@ def decay_bfs_batch(
     Runs one independent Decay-BFS per lane of ``network`` (a
     :class:`~repro.radio.batch_engine.ReplicaBatchedNetwork`), all lanes
     advancing through their Decay phases in lockstep so each phase costs
-    one fused sparse product per slot instead of one per replica.
+    one fused kernel call per slot instead of one per replica.
     ``seeds[r]`` is lane ``r``'s protocol stream (the stream a serial
     :func:`decay_bfs` call for that replica would receive).
 
@@ -276,7 +276,7 @@ def decay_bfs_mega(
     keyed by member index, while ``seeds`` maps each
     ``(member, replica)`` lane to its protocol stream.  Every Decay
     phase fuses all still-active lanes — of every member — into one
-    block-diagonal sparse product per slot
+    block-diagonal kernel call per slot
     (:func:`~repro.primitives.decay.run_decay_local_broadcast_mega`),
     with each member running its own
     :class:`~repro.primitives.decay.DecayParameters`.

@@ -20,7 +20,7 @@ The one harness driving every scenario cell in the repo::
 Seed sweeps over batch-capable cells (``decay_bfs`` on a
 seed-deterministic topology with the ``"fast"`` engine) are fused into
 **replica-batched** engine runs automatically — R seeds advance in
-lockstep over one compiled topology, one sparse product per slot —
+lockstep over one compiled topology, one kernel call per slot —
 without changing a single result byte
 (``policy=ExecutionPolicy(batch_replicas=1)`` opts out;
 see EXPERIMENTS.md and ARCHITECTURE.md).

@@ -21,6 +21,7 @@ which the runner reads into the uniform ``RunResult`` metrics.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass, field
@@ -358,6 +359,25 @@ class RunContext:
         model left some vertices unsettled)."""
         self.partial = True
 
+    def release_graphs(self) -> None:
+        """Let the run's graphs be freed as soon as nothing holds them.
+
+        networkx caches a graph's ``nodes``/``degree``/``edges``/``adj``
+        views in the graph itself, and the views point back at it, so a
+        finished cell's topology (and the engine's own copy on dynamic
+        runs) would otherwise live on until the cyclic garbage collector
+        happens to run.  The views are rebuilt on the next access.
+        """
+        for graph in (self.graph, getattr(self._network, "graph", None)):
+            if graph is None:
+                continue
+            cls = type(graph)
+            for name in [
+                name for name in vars(graph)
+                if isinstance(getattr(cls, name, None), functools.cached_property)
+            ]:
+                del graph.__dict__[name]
+
     def fault_totals(self) -> FaultCounters:
         """The run's combined fault/delivery tally.
 
@@ -596,7 +616,7 @@ def _run_decay_bfs(ctx: RunContext) -> Dict[str, Any]:
 
 @register_batched_algorithm("decay_bfs")
 def _run_decay_bfs_batch(bctx: BatchRunContext) -> List[Dict[str, Any]]:
-    """Replica-batched ``decay_bfs``: R seeds, one sparse product/slot.
+    """Replica-batched ``decay_bfs``: R seeds, one kernel call per slot.
 
     Each replica's wavefront, Decay randomness, fault draws, energy
     charges, and slot clock replay its serial run exactly; only the

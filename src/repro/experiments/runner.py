@@ -92,7 +92,9 @@ def run_experiment(spec: ExperimentSpec) -> RunResult:
     # Engine/LBGraph construction is one-off setup, not algorithm work:
     # exclude it so wall_time_s compares engine tiers on throughput.
     wall = time.perf_counter() - start - ctx.setup_time_s
-    return _assemble_result(spec, ctx, output, wall)
+    result = _assemble_result(spec, ctx, output, wall)
+    ctx.release_graphs()
+    return result
 
 
 def _assemble_result(
@@ -218,10 +220,12 @@ def run_experiment_batch(specs: Sequence[ExperimentSpec]) -> List[RunResult]:
     # batching is inherently approximate and stays informational-only.
     setup = max(ctx.setup_time_s for ctx in contexts)
     wall_each = max(0.0, time.perf_counter() - start - setup) / len(spec_list)
-    return [
+    results = [
         _assemble_result(spec, ctx, output, wall_each)
         for spec, ctx, output in zip(spec_list, contexts, outputs)
     ]
+    contexts[0].release_graphs()  # one graph serves every replica
+    return results
 
 
 def spec_is_mega_batchable(spec: ExperimentSpec) -> bool:
@@ -302,6 +306,7 @@ def run_experiment_mega(specs: Sequence[ExperimentSpec]) -> List[RunResult]:
     for group, contexts, member_out in zip(groups, member_contexts, outputs):
         for spec, ctx, output in zip(group, contexts, member_out):
             results.append(_assemble_result(spec, ctx, output, wall_each))
+        contexts[0].release_graphs()
     return results
 
 

@@ -21,6 +21,17 @@ nothing spend ``Theta(log Delta log 1/f)`` slots.
 Only senders draw randomness.  Spawned from a
 :class:`~repro.rng.StreamTree`, receivers and sleepers hold unbuilt
 streams and never pay for a Generator.
+
+Two implementations run the same protocol.  On the fast slot tiers
+(the serial fast engine and every lane of the batched engines) one
+execution is a :class:`DecayPhase`: a per-slot table of sender indices
+drawn up front and a mask of still-listening receivers, driven through
+the slot cores' population interface
+(:class:`~repro.radio.population.SlotPopulation`) with no Python call
+per vertex per slot.  The reference engine runs the object roles
+(:class:`DecaySender`, :class:`DecayReceiver`, :class:`_SleepingDevice`),
+one :class:`~repro.radio.device.Device` per vertex — the independent
+oracle the columnar phase is tested against.
 """
 
 from __future__ import annotations
@@ -32,6 +43,7 @@ from typing import (
     Dict,
     Hashable,
     Iterable,
+    List,
     Mapping,
     Optional,
     Set,
@@ -40,12 +52,18 @@ from typing import (
 )
 
 import networkx as nx
+import numpy as np
 
+from ..errors import MessageTooLargeError, SimulationError
 from ..radio.channel import Reception
 from ..radio.device import Action, Device
+from ..radio.energy import EnergyLedger
 from ..radio.engine import Engine, coerce_network
+from ..radio.faults import FaultCounters, SlotFaultPlan
 from ..radio.message import Message
-from ..rng import Stream, StreamSeed, geometric_decay_slot
+from ..radio.population import Resolution, SlotCore, SlotPopulation
+from ..radio.sinr import check_level
+from ..rng import Stream, StreamSeed, built, geometric_decay_slot
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..radio.batch_engine import MegaBatchedNetwork, ReplicaBatchedNetwork
@@ -158,6 +176,284 @@ class _SleepingDevice(Device):
         self.halted = True
 
 
+class DecayPhase(SlotPopulation):
+    """One Decay execution as array state: the columnar population.
+
+    Built on a fast tier's :class:`~repro.radio.population.SlotCore`:
+
+    - **senders** are index arrays: each sender builds its Generator from
+      its own stream and draws its ``iterations`` transmit slots up front
+      (one :func:`~repro.rng.geometric_decay_slot` per iteration, in
+      iteration order — exactly what :class:`DecaySender` draws), into a
+      table of sender indices per slot, ascending within a slot;
+    - **receivers** are an array of still-listening indices that loses a
+      receiver on its first delivery — a :class:`DecayReceiver` halts
+      right after its first reception;
+    - a slot is a table lookup, the tier's kernel call, and a mask update.
+
+    Faults act as on the object roles: dead vertices neither act nor pay
+    (a dead receiver keeps listening afterwards), dropped senders pay and
+    are traced but stay off the channel, jammed listeners pay, are
+    counted and keep listening.  The first transmission checks every
+    transmitter's message size and, under SINR, the standing power
+    level, raising what the first offending :class:`DecaySender` would.
+    Receivers and non-participants never build a Generator.
+    """
+
+    def __init__(
+        self,
+        core: SlotCore,
+        streams: Mapping[Hashable, Stream],
+        messages: Mapping[Hashable, Message],
+        receivers: Set[Hashable],
+        params: DecayParameters,
+        start_slot: int,
+        power: int,
+    ) -> None:
+        super().__init__(core)
+        index = core.index
+        vertices = core.vertices
+        self.start_slot = start_slot
+        self.power = power
+        self.receivers = receivers
+        #: ``{receiver: message}`` for every receiver that heard one.
+        self.heard: Dict[Hashable, Message] = {}
+        senders = sorted(index[v] for v in messages if v in index)
+        self._msgs: Dict[int, Message] = {}
+        self._oversized = False
+        for i in senders:
+            message = messages[vertices[i]]
+            if message is None:
+                raise ValueError("transmit requires a message")
+            self._msgs[i] = message
+            try:
+                core.size_policy.check(message)
+            except MessageTooLargeError:
+                self._oversized = True
+        window, iterations = params.window, params.iterations
+        offsets: List[int] = []
+        for i in senders:
+            rng = built(streams[vertices[i]])
+            for it in range(iterations):
+                offsets.append(it * window + geometric_decay_slot(rng, window) - 1)
+        slots = np.asarray(offsets, dtype=np.int64)
+        order = np.argsort(slots, kind="stable")
+        self._table = np.repeat(
+            np.asarray(senders, dtype=np.int64), iterations
+        )[order]
+        self._bounds: List[int] = np.searchsorted(
+            slots[order], np.arange(params.total_slots + 1)
+        ).tolist()
+        self._active = np.asarray(
+            sorted(index[v] for v in receivers), dtype=np.int64
+        )
+        self._done = np.zeros(core.n, dtype=bool)
+        self._idle = not senders and not receivers
+        # Until the first transmission has been checked (and for as long
+        # as some sender holds an oversized message), transmissions are
+        # validated one by one.
+        self._unchecked = True
+        self._cost = 1
+        if core.sinr is not None:
+            try:
+                self._cost = core.sinr.power_costs[
+                    check_level(power, None, core.sinr)
+                ]
+            except SimulationError:
+                pass  # raised by the first transmission instead
+        # Energy is booked lazily: each slot run since the last settle
+        # charges its scheduled senders and every receiver still
+        # listening; the exceptions (dead vertices, receivers that stop
+        # on a delivery) are booked as they happen.
+        self._ran = 0
+        self._settled = 0
+        self._jammed: Optional[np.ndarray] = None
+
+    def halted(self) -> bool:
+        # Senders act until the protocol's last slot, so the object roles
+        # all halt early only when there is nobody to run.
+        return self._idle
+
+    def output(self) -> Dict[Hashable, Message]:
+        """``{receiver: message}``, in the receiver set's order."""
+        heard = self.heard
+        return {v: heard[v] for v in self.receivers if v in heard}
+
+    def _mask(self, members: Iterable[Hashable]) -> np.ndarray:
+        index = self.core.index
+        mask = np.zeros(self.core.n, dtype=bool)
+        mask[[index[v] for v in members if v in index]] = True
+        return mask
+
+    def _check(self, tx: np.ndarray) -> None:
+        core = self.core
+        sinr = core.sinr
+        for i in tx.tolist():
+            core.size_policy.check(self._msgs[i])
+            if sinr is not None:
+                check_level(self.power, core.vertices[i], sinr)
+        self._unchecked = self._oversized
+
+    def collect(
+        self, slot: int, plan: Optional[SlotFaultPlan], counters: FaultCounters
+    ) -> None:
+        core = self.core
+        bounds = self._bounds
+        t = slot - self.start_slot
+        self._ran = t + 1
+        tx = self._table[bounds[t]:bounds[t + 1]]
+        listen = self._active
+        jammed: Optional[np.ndarray] = None
+        if plan is not None and plan.dead:
+            dead = self._mask(plan.dead)
+            gone = dead[tx]
+            if gone.any():
+                self.tx_counts[tx[gone]] -= self._cost
+                tx = tx[~gone]
+            gone = dead[listen]
+            if gone.any():
+                self.listen_counts[listen[gone]] -= 1
+                listen = listen[~gone]
+        if tx.size:
+            if self._unchecked:
+                self._check(tx)
+            trace = core.trace
+            if trace is not None:
+                vertices = core.vertices
+                suffix = "" if core.sinr is None else f"/p{self.power}"
+                for i in tx.tolist():
+                    trace.record(
+                        slot, "transmit", vertices[i],
+                        self._msgs[i].kind + suffix,
+                    )
+            if plan is not None and plan.dropped:
+                dropped = self._mask(plan.dropped)[tx]
+                lost = int(np.count_nonzero(dropped))
+                if lost:
+                    counters.dropped += lost
+                    tx = tx[~dropped]
+        if listen.size and plan is not None and plan.jammed:
+            jam = self._mask(plan.jammed)[listen]
+            if jam.any():
+                jammed = jam
+        self._jammed = jammed
+        self.tx_idx = tx
+        self.listen_idx = listen
+        if core.sinr is not None:
+            self.tx_levels = np.full(tx.size, self.power, dtype=np.int64)
+
+    def deliver(
+        self, slot: int, resolved: Optional[Resolution], counters: FaultCounters
+    ) -> None:
+        jammed = self._jammed
+        if jammed is not None:
+            counters.jammed += int(np.count_nonzero(jammed))
+        if resolved is None:
+            return
+        _, codes, ok = resolved
+        if jammed is not None:
+            ok = ok & ~jammed
+        hit = ok.nonzero()[0]
+        if not hit.size:
+            return
+        got = self.listen_idx[hit]
+        counters.delivered += int(hit.size)
+        # They listened through this slot and stop now.
+        self.listen_counts[got] += slot - self.start_slot + 1 - self._settled
+        heard = self.heard
+        msgs = self._msgs
+        vertices = self.core.vertices
+        trace = self.core.trace
+        for i, code in zip(got.tolist(), codes[hit].tolist()):
+            message = msgs[code - 1]
+            heard[vertices[i]] = message
+            if trace is not None:
+                trace.record(slot, "receive", vertices[i], message.kind)
+        done = self._done
+        done[got] = True
+        self._active = self._active[~done[self._active]]
+
+    def settle(self, ledger: EnergyLedger) -> None:
+        pending = self._ran - self._settled
+        if pending:
+            bounds = self._bounds
+            sent = self._table[bounds[self._settled]:bounds[self._ran]]
+            if sent.size:
+                self.tx_counts += self._cost * np.bincount(
+                    sent, minlength=self.core.n
+                )
+            self.listen_counts[self._active] += pending
+            self._settled = self._ran
+        super().settle(ledger)
+
+
+def _disjoint(
+    messages: Mapping[Hashable, Message], receivers: Iterable[Hashable]
+) -> Set[Hashable]:
+    """The receiver set, checked disjoint from the senders."""
+    receiver_set = set(receivers)
+    overlap = set(messages) & receiver_set
+    if overlap:
+        raise ValueError(f"senders and receivers must be disjoint; overlap={overlap}")
+    return receiver_set
+
+
+def _stream(vertex: Hashable, stream: Stream) -> Stream:
+    """Spawn factory of a columnar phase: every vertex keeps its stream
+    as spawned (unbuilt, from a tree); only senders build theirs."""
+    return stream
+
+
+def _phase(
+    network,
+    messages: Mapping[Hashable, Message],
+    receivers: Iterable[Hashable],
+    params: DecayParameters,
+    start_slot: int,
+    power: int,
+    seed: StreamSeed,
+) -> DecayPhase:
+    """One columnar Decay execution on a fast tier's ``network`` (a
+    serial engine or a batched member), its streams spawned exactly as
+    the object roles' would be."""
+    receiver_set = _disjoint(messages, receivers)
+    streams = network.spawn_devices(_stream, seed=seed)
+    return DecayPhase(
+        network.slot_core, streams, messages, receiver_set, params,
+        start_slot, power,
+    )
+
+
+def _run_object_roles(
+    network: Engine,
+    messages: Mapping[Hashable, Message],
+    receiver_set: Set[Hashable],
+    params: DecayParameters,
+    seed: StreamSeed,
+    power: int,
+) -> Dict[Hashable, Message]:
+    """One Decay execution as one Device per vertex (reference engine)."""
+    start_slot = network.slot
+
+    def factory(vertex: Hashable, rng: Stream) -> Device:
+        if vertex in messages:
+            return DecaySender(
+                vertex, rng, messages[vertex], params, start_slot, power=power,
+            )
+        if vertex in receiver_set:
+            return DecayReceiver(vertex, rng, params, start_slot)
+        return _SleepingDevice(vertex, rng)
+
+    devices = network.spawn_devices(factory, seed=seed)
+    network.run(devices, max_slots=params.total_slots)
+    results: Dict[Hashable, Message] = {}
+    for v in receiver_set:
+        out = devices[v].output()
+        if out is not None:
+            results[v] = out
+    return results
+
+
 def run_decay_local_broadcast(
     network: Union[nx.Graph, Engine],
     messages: Mapping[Hashable, Message],
@@ -174,7 +470,9 @@ def run_decay_local_broadcast(
     (``"reference"``/``"fast"``) — the engine is then built via
     :func:`~repro.radio.engine.make_network`.  ``tx_power`` is the
     senders' standing SINR power level (ignored by the binary collision
-    models).
+    models).  The fast engine runs the execution as a columnar
+    :class:`DecayPhase`; the reference engine as one object role per
+    vertex.
 
     Returns ``{receiver: message}`` for every receiver that heard one.
     Senders and receivers must be disjoint; all other vertices sleep.
@@ -183,34 +481,17 @@ def run_decay_local_broadcast(
     :func:`~repro.radio.network.spawn_device_map`).
     """
     network = coerce_network(network, engine)
-    receiver_set = set(receivers)
-    sender_set = set(messages)
-    overlap = sender_set & receiver_set
-    if overlap:
-        raise ValueError(f"senders and receivers must be disjoint; overlap={overlap}")
-
     params = DecayParameters.for_network(network.max_degree, failure_probability)
-    start_slot = network.slot
-
-    def factory(vertex: Hashable, rng: Stream) -> Device:
-        if vertex in sender_set:
-            return DecaySender(
-                vertex, rng, messages[vertex], params, start_slot,
-                power=tx_power,
-            )
-        if vertex in receiver_set:
-            return DecayReceiver(vertex, rng, params, start_slot)
-        return _SleepingDevice(vertex, rng)
-
-    devices = network.spawn_devices(factory, seed=seed)
-    network.run(devices, max_slots=params.total_slots)
-
-    results: Dict[Hashable, Message] = {}
-    for v in receiver_set:
-        out = devices[v].output()
-        if out is not None:
-            results[v] = out
-    return results
+    if getattr(network, "slot_core", None) is None:
+        return _run_object_roles(
+            network, messages, _disjoint(messages, receivers), params, seed,
+            tx_power,
+        )
+    phase = _phase(
+        network, messages, receivers, params, network.slot, tx_power, seed
+    )
+    network.run(phase, max_slots=params.total_slots)
+    return phase.output()
 
 
 def run_decay_local_broadcast_batch(
@@ -227,62 +508,24 @@ def run_decay_local_broadcast_batch(
     lane's ``(messages, receivers)`` round; ``seeds`` optionally maps
     lane index to the lane's protocol stream.  Every lane executes the
     standard :func:`run_decay_local_broadcast` — same parameters (the
-    topology, and hence ``Delta``, is shared), same device populations,
-    same per-lane randomness — but all lanes advance through the
-    protocol's slots together, one fused sparse product per slot.
+    topology, and hence ``Delta``, is shared), same phase, same per-lane
+    randomness — but all lanes advance through the protocol's slots
+    together, one fused kernel call per slot.
 
     Returns ``{lane: {receiver: message}}`` for every lane, exactly the
     per-lane result the serial primitive would have produced.
     """
     seeds = seeds or {}
     params = DecayParameters.for_network(network.max_degree, failure_probability)
-    populations: Dict[int, Dict[Hashable, Device]] = {}
-    receiver_sets: Dict[int, Set[Hashable]] = {}
+    phases: Dict[int, DecayPhase] = {}
     for lane_index in sorted(rounds):
         messages, receivers = rounds[lane_index]
-        receiver_set = set(receivers)
-        sender_set = set(messages)
-        overlap = sender_set & receiver_set
-        if overlap:
-            raise ValueError(
-                f"senders and receivers must be disjoint; overlap={overlap}"
-            )
-        start_slot = network.lane(lane_index).slot
-
-        def factory(
-            vertex: Hashable,
-            rng: Stream,
-            messages: Mapping[Hashable, Message] = messages,
-            sender_set: Set[Hashable] = sender_set,
-            receiver_set: Set[Hashable] = receiver_set,
-            start_slot: int = start_slot,
-        ) -> Device:
-            if vertex in sender_set:
-                return DecaySender(
-                    vertex, rng, messages[vertex], params, start_slot,
-                    power=tx_power,
-                )
-            if vertex in receiver_set:
-                return DecayReceiver(vertex, rng, params, start_slot)
-            return _SleepingDevice(vertex, rng)
-
-        populations[lane_index] = network.spawn_devices(
-            factory, seed=seeds.get(lane_index)
+        phases[lane_index] = _phase(
+            network, messages, receivers, params,
+            network.lane(lane_index).slot, tx_power, seeds.get(lane_index),
         )
-        receiver_sets[lane_index] = receiver_set
-
-    network.run_lockstep(populations, max_slots=params.total_slots)
-
-    results: Dict[int, Dict[Hashable, Message]] = {}
-    for lane_index, receiver_set in receiver_sets.items():
-        heard: Dict[Hashable, Message] = {}
-        devices = populations[lane_index]
-        for v in receiver_set:
-            out = devices[v].output()
-            if out is not None:
-                heard[v] = out
-        results[lane_index] = heard
-    return results
+    network.run_lockstep(phases, max_slots=params.total_slots)
+    return {lane: phase.output() for lane, phase in phases.items()}
 
 
 def run_decay_local_broadcast_mega(
@@ -314,9 +557,8 @@ def run_decay_local_broadcast_mega(
     """
     seeds = seeds or {}
     params_by_member: Dict[int, DecayParameters] = {}
-    populations: Dict[Tuple[int, int], Dict[Hashable, Device]] = {}
+    phases: Dict[Tuple[int, int], DecayPhase] = {}
     budgets: Dict[Tuple[int, int], int] = {}
-    receiver_sets: Dict[Tuple[int, int], Set[Hashable]] = {}
     for key in sorted(rounds):
         member_index, _ = key
         member = network.member(member_index)
@@ -330,54 +572,17 @@ def run_decay_local_broadcast_mega(
                 member.max_degree, f
             )
         params = params_by_member[member_index]
-        messages, receivers = rounds[key]
-        receiver_set = set(receivers)
-        sender_set = set(messages)
-        overlap = sender_set & receiver_set
-        if overlap:
-            raise ValueError(
-                f"senders and receivers must be disjoint; overlap={overlap}"
-            )
-        start_slot = network.lane(key).slot
-
         power = (
             tx_power
             if isinstance(tx_power, int)
             else tx_power.get(member_index, 0)
         )
-
-        def factory(
-            vertex: Hashable,
-            rng: Stream,
-            messages: Mapping[Hashable, Message] = messages,
-            sender_set: Set[Hashable] = sender_set,
-            receiver_set: Set[Hashable] = receiver_set,
-            params: DecayParameters = params,
-            start_slot: int = start_slot,
-            power: int = power,
-        ) -> Device:
-            if vertex in sender_set:
-                return DecaySender(
-                    vertex, rng, messages[vertex], params, start_slot,
-                    power=power,
-                )
-            if vertex in receiver_set:
-                return DecayReceiver(vertex, rng, params, start_slot)
-            return _SleepingDevice(vertex, rng)
-
-        populations[key] = member.spawn_devices(factory, seed=seeds.get(key))
+        messages, receivers = rounds[key]
+        phases[key] = _phase(
+            member, messages, receivers, params, network.lane(key).slot,
+            power, seeds.get(key),
+        )
         budgets[key] = params.total_slots
-        receiver_sets[key] = receiver_set
 
-    network.run_lockstep(populations, max_slots=budgets)
-
-    results: Dict[Tuple[int, int], Dict[Hashable, Message]] = {}
-    for key, receiver_set in receiver_sets.items():
-        heard: Dict[Hashable, Message] = {}
-        devices = populations[key]
-        for v in receiver_set:
-            out = devices[v].output()
-            if out is not None:
-                heard[v] = out
-        results[key] = heard
-    return results
+    network.run_lockstep(phases, max_slots=budgets)
+    return {key: phase.output() for key, phase in phases.items()}

@@ -8,8 +8,9 @@ shared :class:`Engine` protocol:
   auditing protocol behavior and for small instances;
 - ``"fast"`` (:class:`FastRadioNetwork`) — a vectorized batch engine:
   the topology is compiled once into a CSR adjacency matrix and each
-  slot's channel is arbitrated for all listeners with a single sparse
-  product, with batched energy charging.  Use it for large or dense
+  slot's channel is arbitrated for all listeners with a single CSR
+  gather and bincount, with batched energy charging; a Decay phase runs
+  as columnar arrays, without per-device callbacks.  Use it for large or dense
   instances.
 
 Select by name with :func:`make_network`; the two engines are
@@ -22,12 +23,12 @@ graph families by name.
 
 A third executor, :class:`ReplicaBatchedNetwork`
 (:mod:`repro.radio.batch_engine`), advances ``R`` independent replicas
-of one topology in lockstep — one compiled topology and one sparse
-product per slot shared by all replicas — with each replica lane
+of one topology in lockstep — one compiled topology and one kernel
+call per slot shared by all replicas — with each replica lane
 bit-identical to its own serial run.  It is the engine behind
 seed-sweep replica batching in :mod:`repro.experiments`.  On top of it,
 :class:`MegaBatchedNetwork` packs several replica-batched members with
-**different** topologies into one block-diagonal fused product per slot
+**different** topologies into one block-diagonal kernel call per slot
 (:mod:`repro.radio.kernels.megabatch`), lifting the same-topology
 restriction of replica batching.
 

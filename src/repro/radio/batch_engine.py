@@ -1,23 +1,25 @@
-"""Replica-batched slot execution: R seeds per sparse product.
+"""Replica-batched slot execution: R seeds per kernel call.
 
 The dominant workload of this repo is sweeps over many seeds of the
 *same* (topology, algorithm, faults) cell — every result in the paper
 is a statement about distributions over random coin flips.  The
 single-replica engines pay one topology build, one CSR compile, and one
-sparse product per slot **per seed**; :class:`ReplicaBatchedNetwork`
+kernel call per slot **per seed**; :class:`ReplicaBatchedNetwork`
 amortizes all three by advancing ``R`` independent replicas of one
 topology in lockstep:
 
 - the topology is compiled once
   (:class:`~repro.radio.fast_engine.CompiledTopology`) and shared by
   every replica lane;
-- each slot, the lanes' transmitter indicators are stacked into one
-  sparse ``(2R, n)`` matrix and resolved against the shared adjacency
-  with **one** sparse product
+- each slot, every lane's population
+  (:class:`~repro.radio.population.SlotPopulation` — a columnar Decay
+  phase, or device objects) collects its transmitters and listeners,
+  and all lanes are resolved against the shared adjacency with **one**
+  kernel call
   (:meth:`~repro.radio.fast_engine.CompiledTopology.counts_codes_many`)
   — per-lane counts and sender codes come back exactly as the fast
   engine would have computed them one replica at a time;
-- each lane keeps fully private state: its own device population, its
+- each lane keeps fully private state: its own population, its
   own :class:`~repro.radio.energy.EnergyLedger`, its own fault stream
   (via :class:`~repro.radio.faults.ReplicaFaultRuntimes`), its own
   collision resolution, and its own slot clock.
@@ -43,7 +45,7 @@ depths.
 :class:`MegaBatchedNetwork` goes one step further: several
 replica-batched members with **different** topologies are packed into a
 block-diagonal :class:`~repro.radio.kernels.megabatch.MegaBatchPlan`,
-so heterogeneous sweep cells share one fused product per slot — the
+so heterogeneous sweep cells share one kernel call per slot — the
 same bit-identity contract, across mixed topologies.
 """
 
@@ -66,23 +68,29 @@ from typing import (
 import networkx as nx
 import numpy as np
 
-from ..errors import ConfigurationError, SimulationError
+from ..errors import ConfigurationError
 from ..rng import SeedLike, Stream, StreamSeed
-from .channel import CollisionModel, Feedback, Reception
-from .device import ActionKind, Device
+from .channel import CollisionModel
+from .device import Device
 from .energy import EnergyLedger
-from .fast_engine import _NOISE, _NOTHING, _SILENCE, CompiledTopology
+from .fast_engine import CompiledTopology
 from .faults import FaultCounters, FaultModel, ReplicaFaultRuntimes
 from .kernels import MegaBatchPlan
 from .kernels.sinr_csr import SinrCsr, sinr_arbitrate_many
-from .message import Message, MessageSizePolicy
+from .message import MessageSizePolicy
 from .network import (
-    jam_reception_for,
     spawn_device_map,
     validate_population,
     validate_topology,
 )
-from .sinr import SinrField, SinrParams, coerce_sinr_params, transmit_level
+from .population import (
+    DevicePopulation,
+    Resolution,
+    SlotCore,
+    SlotPopulation,
+    gathered,
+)
+from .sinr import SinrField, SinrParams, coerce_sinr_params
 
 
 @dataclass
@@ -103,34 +111,20 @@ class ReplicaLane:
 
 
 class _LaneRun:
-    """Mutable per-lane state for one
-    :meth:`ReplicaBatchedNetwork.run_lockstep` call."""
+    """Mutable per-lane state for one ``run_lockstep`` call."""
 
-    __slots__ = ("lane", "live", "executed", "tx_counts", "listen_counts",
-                 "msgs", "tx_idx", "tx_levels", "listeners", "resolved")
+    __slots__ = ("lane", "population", "executed", "resolved")
 
-    def __init__(self, lane: ReplicaLane, live: List[Tuple[Hashable, Device]],
-                 n: int) -> None:
+    def __init__(self, lane: ReplicaLane, population: SlotPopulation) -> None:
         self.lane = lane
-        self.live = live
+        self.population = population
         self.executed = 0
-        self.tx_counts = np.zeros(n, dtype=np.int64)
-        self.listen_counts = np.zeros(n, dtype=np.int64)
-        self.msgs: List[Optional[Message]] = [None] * n
-        self.tx_idx: List[int] = []
-        # Power level per live transmitter (aligned with tx_idx); only
-        # populated under the SINR collision model.
-        self.tx_levels: List[int] = []
-        # (index, device, jammed) per listener, rebuilt every slot.
-        self.listeners: List[Tuple[int, Device, bool]] = []
-        # This slot's fused-product output: a (counts, codes) pair for
-        # the binary models, a (counts, codes, deliver) triple under
-        # SINR arbitration.
-        self.resolved: Optional[Tuple[np.ndarray, ...]] = None
+        # This slot's channel outcome at the population's listeners.
+        self.resolved: Optional[Resolution] = None
 
 
 class ReplicaBatchedNetwork:
-    """R replica lanes of one topology, one sparse product per slot.
+    """R replica lanes of one topology, one kernel call per slot.
 
     Parameters
     ----------
@@ -232,7 +226,12 @@ class ReplicaBatchedNetwork:
             faults, graph, seeds=list(fault_seeds),
             counters=[lane.fault_counters for lane in self.lanes],
         )
-        self._jam_reception = jam_reception_for(collision_model)
+        #: What every lane's population acts against (lanes keep no
+        #: event trace).
+        self.slot_core = SlotCore(
+            self._topology.vertices, self._topology.index,
+            collision_model, self.size_policy, sinr_params, None,
+        )
 
     # ------------------------------------------------------------------
     def lane(self, replica: int) -> ReplicaLane:
@@ -242,7 +241,7 @@ class ReplicaBatchedNetwork:
     @property
     def max_degree(self) -> int:
         """Maximum degree of the shared topology (the Delta of Lemma 2.4)."""
-        return max((d for _, d in self.graph.degree), default=0)
+        return int(np.diff(self._topology.adjacency.indptr).max())
 
     def spawn_devices(
         self,
@@ -260,57 +259,58 @@ class ReplicaBatchedNetwork:
         return spawn_device_map(self._topology.vertices, factory, seed)
 
     # ------------------------------------------------------------------
-    def _check_population(self, replica: int, devices: Mapping[Hashable, Device]) -> None:
-        """The same exact-cover validation the serial engines apply."""
+    def _lane_run(
+        self,
+        replica: int,
+        devices: Union[Mapping[Hashable, Device], SlotPopulation],
+    ) -> _LaneRun:
+        """One lane's run state; a device mapping gets the serial
+        engines' exact-cover validation and becomes a
+        :class:`~repro.radio.population.DevicePopulation`."""
         if not isinstance(replica, int) or not (0 <= replica < self.replicas):
             raise ConfigurationError(
                 f"unknown replica lane {replica!r}; "
                 f"this network has {self.replicas} lanes"
             )
-        validate_population(self._node_set, devices)
+        if not isinstance(devices, SlotPopulation):
+            validate_population(self._node_set, devices)
+            devices = DevicePopulation(self.slot_core, devices)
+        return _LaneRun(self.lanes[replica], devices)
 
     def run_lockstep(
         self,
-        populations: Mapping[int, Mapping[Hashable, Device]],
+        populations: Mapping[
+            int, Union[Mapping[Hashable, Device], SlotPopulation]
+        ],
         max_slots: int,
     ) -> Dict[int, int]:
         """Advance every supplied lane for up to ``max_slots`` slots.
 
         ``populations`` maps lane index -> that lane's device mapping
-        (exact vertex cover, as on the serial engines).  Per slot, every
-        still-running lane collects its device actions, all lanes'
-        channels are resolved with one fused sparse product, and each
-        lane's receptions are dispatched with its own collision model
-        outcome.  A lane stops early when all its devices have halted —
-        exactly the serial ``run`` loop's stop rule, applied per lane —
-        without holding up the others.  Returns the executed slot count
-        per lane.
+        (exact vertex cover, as on the serial engines) or columnar
+        population (a Decay phase).  Per slot, every still-running lane
+        collects its actions, all lanes' channels are resolved with one
+        fused kernel call, and each lane's receptions are dispatched
+        with its own collision model outcome.  A lane stops early when
+        its population has halted — exactly the serial ``run`` loop's
+        stop rule, applied per lane — without holding up the others.
+        Returns the executed slot count per lane.
         """
-        states: List[_LaneRun] = []
-        for replica in sorted(populations):
-            devices = populations[replica]
-            self._check_population(replica, devices)
-            live = [(v, d) for v, d in devices.items() if not d.halted]
-            states.append(_LaneRun(self.lanes[replica], live, self._topology.n))
-        running = [s for s in states if s.live]
+        states = [
+            self._lane_run(replica, populations[replica])
+            for replica in sorted(populations)
+        ]
+        running = [s for s in states if not s.population.halted()]
         for _ in range(max_slots):
             if not running:
                 break
             self._step_all(running)
-            still_running: List[_LaneRun] = []
             for s in running:
                 s.executed += 1
                 s.lane.slot += 1
-                # Drop devices that halted this slot so the all-halted
-                # check stays O(live) and exact.
-                s.live = [(v, d) for v, d in s.live if not d.halted]
-                if s.live:
-                    still_running.append(s)
-            running = still_running
+            running = [s for s in running if not s.population.halted()]
         for s in states:
-            s.lane.ledger.charge_slot_counts(
-                self._topology.vertices, s.tx_counts, s.listen_counts
-            )
+            s.population.settle(s.lane.ledger)
             s.lane.ledger.advance_time(s.executed)
         return {s.lane.index: s.executed for s in states}
 
@@ -318,148 +318,49 @@ class ReplicaBatchedNetwork:
     def _step_all(self, running: List[_LaneRun]) -> None:
         """Execute one synchronous slot across all running lanes."""
         self._collect_actions(running)
-        # One fused product covering every lane that has both
-        # transmitters and listeners this slot: the sparse
-        # counts/codes product for the binary models, fused SINR
-        # arbitration (same block-diagonal trick) otherwise.
-        need = [s for s in running if s.listeners and s.tx_idx]
+        # One fused kernel call covering every lane that has both
+        # transmitters and listeners this slot: the counts/codes
+        # kernel for the binary models, fused SINR arbitration (same
+        # block-diagonal trick) otherwise.
+        need = [
+            s for s in running
+            if s.population.listen_idx.size and s.population.tx_idx.size
+        ]
         if need:
             if self._sinr_csr is None:
                 resolved: List[Tuple[np.ndarray, ...]] = (
                     self._topology.counts_codes_many(
-                        [np.asarray(s.tx_idx, dtype=np.int64) for s in need]
+                        [s.population.tx_idx for s in need]
                     )
                 )
             else:
                 csr = self._sinr_csr
-                resolved = sinr_arbitrate_many(
-                    [
-                        (
-                            csr,
-                            np.asarray(s.tx_idx, dtype=np.int64),
-                            np.asarray(s.tx_levels, dtype=np.int64),
-                        )
-                        for s in need
-                    ]
-                )
-            for s, pair in zip(need, resolved):
-                s.resolved = pair
+                resolved = sinr_arbitrate_many([
+                    (csr, s.population.tx_idx, s.population.tx_levels)
+                    for s in need
+                ])
+            for s, full in zip(need, resolved):
+                s.resolved = gathered(s.population.listen_idx, *full)
         self._dispatch(running)
 
     def _collect_actions(self, running: List[_LaneRun]) -> None:
-        """Phase A of a slot: per lane, collect this slot's actions
-        (device callbacks and fault application, exactly as the fast
-        engine).  Fills each lane state's ``tx_idx``/``listeners``/
-        ``msgs`` staging for channel resolution."""
-        index = self._topology.index
-        idle_kind = ActionKind.IDLE
-        transmit_kind = ActionKind.TRANSMIT
-        sinr = self.sinr
-
+        """Phase A of a slot: each lane's population collects its
+        transmitters and listeners under the lane's own fault plan."""
         for s in running:
             lane = s.lane
-            plan = self._fault_runtimes.plan(lane.index, lane.slot)
-            counters = lane.fault_counters
-            slot = lane.slot
-            tx_counts = s.tx_counts
-            listen_counts = s.listen_counts
-            msgs = s.msgs
-            tx_idx = s.tx_idx = []
-            tx_levels = s.tx_levels = []
-            listeners = s.listeners = []
-            for vertex, device in s.live:
-                if device.halted:
-                    continue
-                if plan is not None and vertex in plan.dead:
-                    continue
-                action = device.step(slot)
-                kind = action.kind
-                if kind is idle_kind:
-                    continue
-                i = index[vertex]
-                if kind is transmit_kind:
-                    message = action.message
-                    if message is None:
-                        raise SimulationError(
-                            f"device {vertex!r} transmitted no message"
-                        )
-                    self.size_policy.check(message)
-                    if sinr is None:
-                        cost = 1
-                        level = 0
-                    else:
-                        level = transmit_level(device, action, sinr)
-                        cost = sinr.power_costs[level]
-                    # Dropped transmitters are charged like the serial
-                    # engines but never enter the channel math.
-                    if plan is not None and vertex in plan.dropped:
-                        counters.dropped += 1
-                    else:
-                        tx_idx.append(i)
-                        msgs[i] = message
-                        if sinr is not None:
-                            tx_levels.append(level)
-                    tx_counts[i] += cost
-                else:  # LISTEN
-                    listen_counts[i] += 1
-                    listeners.append(
-                        (i, device, plan is not None and vertex in plan.jammed)
-                    )
+            s.population.collect(
+                lane.slot,
+                self._fault_runtimes.plan(lane.index, lane.slot),
+                lane.fault_counters,
+            )
 
     def _dispatch(self, running: List[_LaneRun]) -> None:
-        """Phase C of a slot: per lane, dispatch receptions under its
-        own collision model outcome and fault plan.  Expects each lane
-        needing channel resolution (listeners *and* transmitters) to
-        carry this slot's ``resolved`` arrays."""
-        has_cd = self.collision_model is not CollisionModel.NO_CD
-        silent = _SILENCE if has_cd else _NOTHING
-        noisy = _NOISE if has_cd else _NOTHING
-        jam = self._jam_reception
-        sinr = self._sinr_csr is not None
-
+        """Phase C of a slot: each lane's population takes its channel
+        outcome (``resolved`` for lanes the kernel resolved, silence
+        or jams for the rest)."""
         for s in running:
-            counters = s.lane.fault_counters
-            if s.listeners:
-                if s.tx_idx:
-                    gather = np.asarray(
-                        [i for i, _, _ in s.listeners], dtype=np.int64
-                    )
-                    if sinr:
-                        counts, codes, deliver = s.resolved
-                        listen_deliver = deliver[gather].tolist()
-                    else:
-                        counts, codes = s.resolved
-                        listen_deliver = (counts[gather] == 1).tolist()
-                    listen_counts_slot = counts[gather].tolist()
-                    listen_codes = codes[gather].tolist()
-                    msgs = s.msgs
-                    slot = s.lane.slot
-                    for (i, device, jammed), c, code, ok in zip(
-                        s.listeners, listen_counts_slot, listen_codes,
-                        listen_deliver,
-                    ):
-                        if jammed:
-                            counters.jammed += 1
-                            device.receive(slot, jam)
-                        elif ok:
-                            counters.delivered += 1
-                            device.receive(
-                                slot, Reception(Feedback.MESSAGE, msgs[code - 1])
-                            )
-                        elif c == 0:
-                            device.receive(slot, silent)
-                        else:
-                            device.receive(slot, noisy)
-                else:
-                    slot = s.lane.slot
-                    for _, device, jammed in s.listeners:
-                        if jammed:
-                            counters.jammed += 1
-                            device.receive(slot, jam)
-                        else:
-                            device.receive(slot, silent)
-            for i in s.tx_idx:
-                s.msgs[i] = None
+            s.population.deliver(s.lane.slot, s.resolved, s.lane.fault_counters)
+            s.resolved = None
 
 
 #: A mega lane key: (member index, replica lane index within member).
@@ -467,19 +368,19 @@ MegaLaneKey = Tuple[int, int]
 
 
 class MegaBatchedNetwork:
-    """Heterogeneous members, one block-diagonal fused product per slot.
+    """Heterogeneous members, one block-diagonal kernel call per slot.
 
     Where :class:`ReplicaBatchedNetwork` fuses lanes sharing **one**
     topology, this executor packs several replica-batched *members* —
     each with its own topology, collision model, fault model, and lane
     set — into a single
     :class:`~repro.radio.kernels.megabatch.MegaBatchPlan`, so every
-    running lane of every member joins the same sparse product each
-    slot.  Per-lane semantics are untouched: device callbacks, fault
-    draws, energy charging, and collision outcomes all run through the
+    running lane of every member joins the same kernel call each
+    slot.  Per-lane semantics are untouched: populations, fault draws,
+    energy charging, and collision outcomes all run through the
     member's own machinery (:meth:`ReplicaBatchedNetwork._collect_actions`
-    / :meth:`ReplicaBatchedNetwork._dispatch`), and the block-diagonal
-    slices are exactly the per-member products (see
+    / :meth:`ReplicaBatchedNetwork._dispatch`), and each lane is
+    resolved over its own member's block exactly (see
     :mod:`repro.radio.kernels.megabatch`), so each lane stays
     **byte-identical** to its own serial run — the same contract as
     replica batching, now across mixed topologies.
@@ -526,16 +427,19 @@ class MegaBatchedNetwork:
     # ------------------------------------------------------------------
     def run_lockstep(
         self,
-        populations: Mapping[MegaLaneKey, Mapping[Hashable, Device]],
+        populations: Mapping[
+            MegaLaneKey, Union[Mapping[Hashable, Device], SlotPopulation]
+        ],
         max_slots: Union[int, Mapping[MegaLaneKey, int]],
     ) -> Dict[MegaLaneKey, int]:
         """Advance every supplied lane, fusing all members per slot.
 
         ``populations`` maps ``(member, replica)`` -> that lane's device
-        mapping (exact vertex cover of the member's topology).
+        mapping (exact vertex cover of the member's topology) or
+        columnar population.
         ``max_slots`` is either one budget for every lane or a mapping
         with one budget per supplied lane — lanes retire individually
-        when their budget is spent or all their devices halt, exactly
+        when their budget is spent or their population halts, exactly
         as in per-member :meth:`ReplicaBatchedNetwork.run_lockstep`
         calls.  Returns the executed slot count per lane key.
         """
@@ -549,81 +453,63 @@ class MegaBatchedNetwork:
                     f"max_slots mapping is missing a budget for lane "
                     f"{exc.args[0]!r}"
                 ) from None
-        # records: (lane key, member index, per-call lane state, budget)
-        records: List[Tuple[MegaLaneKey, int, _LaneRun, int]] = []
+        # records: (member index, per-call lane state, budget)
+        records: Dict[MegaLaneKey, Tuple[int, _LaneRun, int]] = {}
         for key in sorted(populations):
             self._check_key(key)
             member_idx, replica = key
-            member = self.members[member_idx]
-            devices = populations[key]
-            member._check_population(replica, devices)
-            live = [(v, d) for v, d in devices.items() if not d.halted]
-            state = _LaneRun(
-                member.lanes[replica], live, member._topology.n
+            state = self.members[member_idx]._lane_run(
+                replica, populations[key]
             )
-            records.append((key, member_idx, state, budgets[key]))
-        running = [r for r in records if r[2].live and r[3] > 0]
+            records[key] = (member_idx, state, budgets[key])
+        running = [
+            r for r in records.values()
+            if r[2] > 0 and not r[1].population.halted()
+        ]
         while running:
             by_member: Dict[int, List[_LaneRun]] = {}
-            for _, member_idx, state, _ in running:
+            for member_idx, state, _ in running:
                 by_member.setdefault(member_idx, []).append(state)
             for member_idx, states in by_member.items():
                 self.members[member_idx]._collect_actions(states)
-            # One block-diagonal product for every lane, of every
+            # One block-diagonal kernel call for every lane, of every
             # member, that has both transmitters and listeners.
             # SINR members take the fused arbitration kernel instead
             # (its own block-diagonal pass over all such lanes).
-            need = [
-                (member_idx, state)
-                for _, member_idx, state, _ in running
-                if state.listeners and state.tx_idx
-            ]
-            binary_need = [
-                (m, state) for m, state in need
-                if self.members[m]._sinr_csr is None
-            ]
-            sinr_need = [
-                (m, state) for m, state in need
-                if self.members[m]._sinr_csr is not None
-            ]
+            binary_need: List[Tuple[int, SlotPopulation, _LaneRun]] = []
+            sinr_need: List[Tuple[SinrCsr, SlotPopulation, _LaneRun]] = []
+            for member_idx, state, _ in running:
+                population = state.population
+                if population.listen_idx.size and population.tx_idx.size:
+                    csr = self.members[member_idx]._sinr_csr
+                    if csr is None:
+                        binary_need.append((member_idx, population, state))
+                    else:
+                        sinr_need.append((csr, population, state))
             if binary_need:
                 resolved = self._plan.counts_codes_many(
-                    [(m, np.asarray(state.tx_idx, dtype=np.int64))
-                     for m, state in binary_need]
+                    [(m, population.tx_idx) for m, population, _ in binary_need]
                 )
-                for (_, state), pair in zip(binary_need, resolved):
-                    state.resolved = pair
+                for (_, population, state), pair in zip(binary_need, resolved):
+                    state.resolved = gathered(population.listen_idx, *pair)
             if sinr_need:
-                arbitrated = sinr_arbitrate_many(
-                    [
-                        (
-                            self.members[m]._sinr_csr,
-                            np.asarray(state.tx_idx, dtype=np.int64),
-                            np.asarray(state.tx_levels, dtype=np.int64),
-                        )
-                        for m, state in sinr_need
-                    ]
-                )
-                for (_, state), triple in zip(sinr_need, arbitrated):
-                    state.resolved = triple
+                arbitrated = sinr_arbitrate_many([
+                    (csr, population.tx_idx, population.tx_levels)
+                    for csr, population, _ in sinr_need
+                ])
+                for (_, population, state), triple in zip(sinr_need, arbitrated):
+                    state.resolved = gathered(population.listen_idx, *triple)
             for member_idx, states in by_member.items():
                 self.members[member_idx]._dispatch(states)
             still_running = []
             for record in running:
-                _, _, state, budget = record
+                _, state, budget = record
                 state.executed += 1
                 state.lane.slot += 1
-                state.live = [
-                    (v, d) for v, d in state.live if not d.halted
-                ]
-                if state.live and state.executed < budget:
+                if state.executed < budget and not state.population.halted():
                     still_running.append(record)
             running = still_running
-        for key, member_idx, state, _ in records:
-            member = self.members[member_idx]
-            state.lane.ledger.charge_slot_counts(
-                member._topology.vertices,
-                state.tx_counts, state.listen_counts,
-            )
+        for _, state, _ in records.values():
+            state.population.settle(state.lane.ledger)
             state.lane.ledger.advance_time(state.executed)
-        return {key: state.executed for key, _, state, _ in records}
+        return {key: state.executed for key, (_, state, _) in records.items()}

@@ -21,7 +21,7 @@ from typing import Any, Hashable, Optional
 
 import numpy as np
 
-from ..rng import LazyStream, Stream
+from ..rng import LazyStream, Stream, built
 from .channel import Reception
 from .message import Message
 
@@ -94,7 +94,7 @@ class Device:
         """The device's private Generator, built on first access."""
         stream = self._stream
         if isinstance(stream, LazyStream):
-            stream = self._stream = stream.generator()
+            stream = self._stream = built(stream)
         return stream
 
     @rng.setter

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Hashable, Iterable, List, Mapping, Tuple
 
 
 @dataclass
@@ -66,31 +66,6 @@ class EnergyLedger:
         """Charge ``slots`` listening slots to ``device``."""
         self._devices[device].listen_slots += slots
 
-    def charge_slot_batch(
-        self,
-        transmitters: Iterable[Hashable],
-        listeners: Iterable[Hashable],
-        transmit_costs: Optional[Sequence[int]] = None,
-    ) -> None:
-        """Charge one slot to every transmitter and listener at once.
-
-        Equivalent to one :meth:`charge_transmit` per transmitter plus
-        one :meth:`charge_listen` per listener; the batch form is used
-        by the vectorized engine so each slot touches the ledger once.
-        ``transmit_costs`` (aligned with ``transmitters``) replaces the
-        flat one-unit transmit charge with per-transmitter costs — the
-        SINR power ladder, where louder costs more.
-        """
-        devices = self._devices
-        if transmit_costs is None:
-            for v in transmitters:
-                devices[v].transmit_slots += 1
-        else:
-            for v, cost in zip(transmitters, transmit_costs):
-                devices[v].transmit_slots += int(cost)
-        for v in listeners:
-            devices[v].listen_slots += 1
-
     def charge_slot_counts(
         self,
         vertices: Iterable[Hashable],
@@ -102,12 +77,12 @@ class EnergyLedger:
         ``transmit_counts[i]``/``listen_counts[i]`` are the slots vertex
         ``vertices[i]`` spent transmitting/listening since the last
         flush.  Equivalent to the corresponding sequence of per-slot
-        :meth:`charge_slot_batch` calls (slot charges are additive and
-        commutative); vertices with zero activity are never touched, so
-        the set of devices the ledger knows about matches per-slot
-        charging exactly.  Used by the replica-batched engine, which
-        accumulates per-lane counters in NumPy arrays during a lockstep
-        run and flushes them here once per run.
+        :meth:`charge_transmit`/:meth:`charge_listen` calls (slot charges
+        are additive and commutative); vertices with zero activity are
+        never touched, so the set of devices the ledger knows about
+        matches per-slot charging exactly.  Used by the fast tiers, whose
+        slot populations accumulate energy in NumPy arrays and flush it
+        here (:meth:`repro.radio.population.SlotPopulation.settle`).
         """
         devices = self._devices
         for v, tx, listen in zip(vertices, transmit_counts, listen_counts):

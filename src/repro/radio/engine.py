@@ -9,8 +9,8 @@ on any backend unchanged:
   per-device Python transcription of paper Section 1.1; the semantic
   ground truth.
 - ``"fast"`` — :class:`~repro.radio.fast_engine.FastRadioNetwork`, the
-  vectorized engine resolving each slot's channel with one sparse
-  product (:mod:`repro.radio.kernels`).
+  vectorized engine resolving each slot's channel with one kernel
+  call (:mod:`repro.radio.kernels`).
 
 Engines self-register by name via
 :func:`~repro.radio.engine_registry.register_engine` (re-exported
@@ -37,6 +37,7 @@ from .message import MessageSizePolicy
 from .energy import EnergyLedger
 from .fast_engine import FastRadioNetwork
 from .network import RadioNetwork, SlotEngineBase
+from .population import SlotPopulation
 from .trace import EventTrace
 
 
@@ -80,14 +81,16 @@ class Engine(Protocol):
 
     def run(
         self,
-        devices: Mapping[Hashable, Device],
+        devices: Union[Mapping[Hashable, Device], SlotPopulation],
         max_slots: int,
         stop_when: Optional[Callable[[], bool]] = None,
     ) -> int:
         """Run the population for up to ``max_slots`` slots."""
         ...
 
-    def step(self, devices: Mapping[Hashable, Device]) -> None:
+    def step(
+        self, devices: Union[Mapping[Hashable, Device], SlotPopulation]
+    ) -> None:
         """Execute one synchronous slot."""
         ...
 

@@ -6,23 +6,26 @@ channel for *all* listeners at once:
 
 - the topology is compiled once into a CSR adjacency matrix over the
   contiguous vertex indexing ``0..n-1``;
-- each slot, the transmitting vertices form an indicator vector; one
-  sparse product against their adjacency rows yields, per vertex, the
-  number of transmitting neighbors *and* (summed) transmitter indices;
+- each slot, gathering the transmitters' adjacency rows yields, per
+  vertex, the number of transmitting neighbors *and* the (summed)
+  transmitter indices;
 - a vertex with transmitter-count exactly 1 decodes its unique sender
   directly from the index sum — no per-listener neighbor scan;
-- energy charges are applied to the ledger in one batch per slot.
+- energy is accumulated per vertex and reaches the ledger in one batch.
 
-The per-device control path (``device.step`` / ``device.receive``
-callbacks, their private RNG streams, trace event ordering, ledger
-totals) is kept identical to the reference engine, so a protocol run
-with the same seed produces bit-for-bit identical slot counts, energy
-ledgers, and event traces on either engine — a guarantee enforced by
+Each slot drives a :class:`~repro.radio.population.SlotPopulation`:
+the per-device objects of any protocol
+(:class:`~repro.radio.population.DevicePopulation`, with the same
+``device.step`` / ``device.receive`` callbacks, private RNG streams and
+trace event order as the reference engine) or a columnar Decay phase
+(:class:`repro.primitives.decay.DecayPhase`).  A protocol run with the
+same seed produces bit-for-bit identical slot counts, energy ledgers,
+and event traces on either engine — a guarantee enforced by
 ``tests/radio/test_engine_equivalence.py``.
 
 The counts/codes arithmetic itself lives in
 :class:`~repro.radio.kernels.scipy_csr.ScipyKernel`
-(:mod:`repro.radio.kernels`): one sparse product per slot.
+(:mod:`repro.radio.kernels`): one gather and bincount per slot.
 """
 
 from __future__ import annotations
@@ -37,31 +40,32 @@ from typing import (
     Sequence,
     Set,
     Tuple,
+    Union,
 )
 
 import networkx as nx
 import numpy as np
 
-from ..errors import SimulationError
 from ..rng import SeedLike
-from .channel import CollisionModel, Feedback, Reception
-from .device import ActionKind, Device
+from .channel import CollisionModel
+from .device import Device
 from .dynamic import DynamicTopology, TopologyPatch
 from .energy import EnergyLedger
 from .faults import FaultModel
 from .engine_registry import register_engine
 from .kernels import SCIPY_KERNEL, CSRAdjacency
 from .kernels.sinr_csr import SinrCsr, sinr_arbitrate
-from .message import Message, MessageSizePolicy
+from .message import MessageSizePolicy
 from .network import SlotEngineBase
+from .population import (
+    DevicePopulation,
+    Resolution,
+    SlotCore,
+    SlotPopulation,
+    gathered,
+)
 from .sinr import SinrParams
 from .trace import EventTrace
-
-# Non-delivery receptions carry no message, so one frozen instance per
-# feedback kind can be shared across all listeners and slots.
-_NOTHING = Reception(Feedback.NOTHING)
-_SILENCE = Reception(Feedback.SILENCE)
-_NOISE = Reception(Feedback.NOISE)
 
 
 class CompiledTopology:
@@ -100,7 +104,7 @@ class CompiledTopology:
 
         ``tx_lists[r]`` holds replica ``r``'s transmitter indices; the
         per-replica (counts, codes) pairs come back in the same order,
-        resolved in one fused sparse product.  Entries of distinct
+        resolved in one fused kernel call.  Entries of distinct
         replicas never mix, so each replica's result is bit-identical
         to its own :meth:`counts_codes` call.
         """
@@ -151,8 +155,10 @@ class FastRadioNetwork(SlotEngineBase):
                          sinr=sinr)
         self._topology = CompiledTopology(graph)
         self._index = self._topology.index
-        # Per-slot message staging area, reused across slots.
-        self._msg_buf: List[Optional[Message]] = [None] * self._topology.n
+        self.slot_core = SlotCore(
+            self._topology.vertices, self._index, self.collision_model,
+            self.size_policy, self.sinr, trace,
+        )
         # Compiled per-edge gains for SINR arbitration (static topology;
         # the base class rejects dynamic + SINR).
         self._sinr_csr: Optional[SinrCsr] = (
@@ -215,129 +221,35 @@ class FastRadioNetwork(SlotEngineBase):
         return table
 
     # ------------------------------------------------------------------
-    def _transmitter_counts(
-        self, tx_idx: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Per-vertex (transmitting-neighbor count, summed sender codes).
+    def step(
+        self, devices: Union[Mapping[Hashable, Device], SlotPopulation]
+    ) -> None:
+        """Execute one synchronous slot for a population.
 
-        Delegates to the compiled topology (see
-        :meth:`CompiledTopology.counts_codes`)."""
-        return self._topology.counts_codes(tx_idx)
-
-    # ------------------------------------------------------------------
-    def step(self, devices: Mapping[Hashable, Device]) -> None:
-        """Execute one synchronous slot for all devices."""
+        ``devices`` is a :class:`~repro.radio.population.SlotPopulation`
+        (what :meth:`run` passes) or a bare device mapping, whose energy
+        is then charged before the slot ends.
+        """
+        if isinstance(devices, SlotPopulation):
+            population = devices
+        else:
+            population = DevicePopulation(self.slot_core, devices)
         plan = self._next_fault_plan()
-        counters = self.fault_counters
         slot = self.slot
-        trace = self.trace
-        index = self._index
-        msg_buf = self._msg_buf
-        sinr = self.sinr
-        # SINR feedback is CD-like: silence and noise are distinguishable.
-        has_cd = self.collision_model is not CollisionModel.NO_CD
-        silent = _SILENCE if has_cd else _NOTHING
-        noisy = _NOISE if has_cd else _NOTHING
-        jam = self._jam_reception
-
-        tx_idx: List[int] = []
-        tx_levels: List[int] = []
-        tx_vertices: List[Hashable] = []
-        tx_costs: List[int] = []
-        listen_idx: List[int] = []
-        listen_vertices: List[Hashable] = []
-        listen_devices: List[Device] = []
-        listen_jammed: List[bool] = []
-        idle_kind = ActionKind.IDLE
-        transmit_kind = ActionKind.TRANSMIT
-
-        for vertex, device in devices.items():
-            if device.halted:
-                continue
-            if plan is not None and vertex in plan.dead:
-                continue
-            action = device.step(slot)
-            kind = action.kind
-            if kind is idle_kind:
-                continue
-            if kind is transmit_kind:
-                message = action.message
-                if message is None:
-                    raise SimulationError(f"device {vertex!r} transmitted no message")
-                self.size_policy.check(message)
-                level = self._transmit_level(device, action)
-                # Dropped transmitters are charged and traced like the
-                # reference engine, but never enter the channel math.
-                if plan is not None and vertex in plan.dropped:
-                    counters.dropped += 1
-                else:
-                    i = index[vertex]
-                    tx_idx.append(i)
-                    tx_levels.append(level)
-                    msg_buf[i] = message
-                tx_vertices.append(vertex)
-                if sinr is None:
-                    detail = message.kind
-                else:
-                    tx_costs.append(sinr.power_costs[level])
-                    detail = f"{message.kind}/p{level}"
-                if trace is not None:
-                    trace.record(slot, "transmit", vertex, detail)
-            else:  # LISTEN
-                listen_idx.append(index[vertex])
-                listen_vertices.append(vertex)
-                listen_devices.append(device)
-                listen_jammed.append(plan is not None and vertex in plan.jammed)
-
-        self.ledger.charge_slot_batch(
-            tx_vertices, listen_vertices,
-            transmit_costs=tx_costs if sinr is not None else None,
-        )
-
-        if listen_idx:
-            if tx_idx:
-                gather = np.asarray(listen_idx, dtype=np.int64)
-                if sinr is None:
-                    counts, codes = self._transmitter_counts(
-                        np.asarray(tx_idx, dtype=np.int64)
-                    )
-                    listen_deliver = (counts[gather] == 1).tolist()
-                else:
-                    counts, codes, deliver = sinr_arbitrate(
-                        self._sinr_csr,
-                        np.asarray(tx_idx, dtype=np.int64),
-                        np.asarray(tx_levels, dtype=np.int64),
-                    )
-                    listen_deliver = deliver[gather].tolist()
-                listen_counts = counts[gather].tolist()
-                listen_codes = codes[gather].tolist()
-                for vertex, device, c, code, ok, jammed in zip(
-                    listen_vertices, listen_devices, listen_counts,
-                    listen_codes, listen_deliver, listen_jammed,
-                ):
-                    if jammed:
-                        counters.jammed += 1
-                        device.receive(slot, jam)
-                    elif ok:
-                        message = msg_buf[code - 1]
-                        counters.delivered += 1
-                        device.receive(slot, Reception(Feedback.MESSAGE, message))
-                        if trace is not None:
-                            trace.record(slot, "receive", vertex, message.kind)
-                    elif c == 0:
-                        device.receive(slot, silent)
-                    else:
-                        device.receive(slot, noisy)
+        counters = self.fault_counters
+        population.collect(slot, plan, counters)
+        listen = population.listen_idx
+        tx = population.tx_idx
+        resolved: Optional[Resolution] = None
+        if listen.size and tx.size:
+            if self._sinr_csr is None:
+                resolved = gathered(listen, *self._topology.counts_codes(tx))
             else:
-                for device, jammed in zip(listen_devices, listen_jammed):
-                    if jammed:
-                        counters.jammed += 1
-                        device.receive(slot, jam)
-                    else:
-                        device.receive(slot, silent)
-
-        for i in tx_idx:
-            msg_buf[i] = None
-
+                resolved = gathered(listen, *sinr_arbitrate(
+                    self._sinr_csr, tx, population.tx_levels
+                ))
+        population.deliver(slot, resolved, counters)
+        if population is not devices:
+            population.settle(self.ledger)
         self.slot += 1
         self.ledger.advance_time(1)

@@ -5,20 +5,39 @@ resolves each slot's channel against these index arrays: given one or
 more sets of transmitter indices it produces per-vertex
 ``(counts, codes)`` pairs — the number of transmitting neighbors and
 the sum of their 1-based indices.  Everything else about a slot
-(device callbacks, fault plans, collision semantics, energy charging)
+(populations, fault plans, collision semantics, energy charging)
 lives above the kernel, in the engines; the kernel itself is exact
-int64 arithmetic.
+integer arithmetic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Hashable, List, Mapping
+from typing import Dict, Hashable, List, Mapping, Tuple
 
 import networkx as nx
 import numpy as np
 
 from ...errors import ConfigurationError
+
+
+def row_positions(
+    indptr: np.ndarray, rows: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Where the given CSR rows' entries sit, and each row's length.
+
+    ``positions`` indexes the ``indices`` (and any per-entry data)
+    array: every entry of ``rows[0]``, then of ``rows[1]``, and so on —
+    the CSR gather both slot kernels start from.
+    """
+    starts = indptr[rows]
+    lens = indptr[rows + 1] - starts
+    total = int(lens.sum())
+    positions = (
+        np.repeat(starts - np.cumsum(lens) + lens, lens)
+        + np.arange(total, dtype=np.int64)
+    )
+    return positions, lens
 
 
 @dataclass(frozen=True)

@@ -1,24 +1,23 @@
-"""Block-diagonal mega-batch backend: heterogeneous cells, one product.
+"""Block-diagonal mega-batch backend: heterogeneous cells, one kernel call.
 
-PR 5's replica batching fuses lanes that share one topology.  This
-backend lifts that restriction: the adjacencies of *different*
-topologies are packed into one block-diagonal CSR matrix
+Replica batching fuses lanes that share one topology.  This backend
+lifts that restriction: the adjacencies of *different* topologies are
+packed into one block-diagonal CSR matrix
 
 .. code-block:: text
 
     A = diag(A_0, A_1, ..., A_{k-1})        vertex m,i -> offset_m + i
 
-and every lane's transmitter row — whatever member topology it runs on
-— joins the same stacked product per slot.  Because the blocks share no
-columns, member ``m``'s slice ``[offset_m, offset_m + n_m)`` of a
-lane's result row is exactly the product that lane would have computed
-against ``A_m`` alone, up to the code shift: global sender codes are
-``global_index + 1 = local_index + 1 + offset_m``, so subtracting
-``offset_m * count`` recovers the member-local codes **exactly** (int64
-arithmetic, every count).  Bit-identity with per-member execution is
-therefore structural, not numerical luck.
+and every lane's transmitters — whatever member topology it runs on —
+join the same kernel call per slot.  The prepared state records the
+member blocks, so the kernel resolves each lane over its own member's
+``n_m`` vertices only (never the whole packed matrix), counting sender
+codes from the block's first vertex.  Because the blocks share no
+columns, a lane's counts and codes are exactly the ones it would have
+computed against ``A_m`` alone: bit-identity with per-member execution
+is structural, not numerical luck.
 
-The fused product runs on the one slot kernel
+The fused call runs on the one slot kernel
 (:class:`~repro.radio.kernels.scipy_csr.ScipyKernel`); "mega-batch" is
 a packing strategy, not a second arithmetic.
 """
@@ -35,7 +34,7 @@ from .scipy_csr import SCIPY_KERNEL
 
 
 class MegaBatchPlan:
-    """K member adjacencies packed block-diagonally for fused products.
+    """K member adjacencies packed block-diagonally for fused kernel calls.
 
     Parameters
     ----------
@@ -70,7 +69,8 @@ class MegaBatchPlan:
                 if indices_parts else np.zeros(0, dtype=np.int64)
             ),
         )
-        self._state = SCIPY_KERNEL.prepare(block)
+        self._state = SCIPY_KERNEL.prepare(block)._replace(blocks=offsets)
+        self._offsets: List[int] = offsets.tolist()
 
     # ------------------------------------------------------------------
     def counts_codes_many(
@@ -83,23 +83,21 @@ class MegaBatchPlan:
         member-local ``(counts, codes)`` pair per entry, in order —
         each bit-identical to
         ``members[member].counts_codes_many([tx_local])`` computed
-        alone (see the module docstring for the offset argument).
+        alone (see the module docstring).
         """
-        offsets = self.offsets
-        global_lists = [
-            np.asarray(tx, dtype=np.int64) + offsets[member]
-            for member, tx in entries
+        offsets = self._offsets
+        lanes = [
+            (member, np.asarray(tx, dtype=np.int64)) for member, tx in entries
         ]
-        resolved = SCIPY_KERNEL.counts_codes_many(self._state, global_lists)
-        out: List[Tuple[np.ndarray, np.ndarray]] = []
-        for (member, _), (counts, codes) in zip(entries, resolved):
-            off = int(offsets[member])
-            end = int(offsets[member + 1])
-            counts_m = counts[off:end]
-            codes_m = codes[off:end]
-            if off:
-                # Global sender codes are local codes + offset per
-                # transmitting neighbor; undo the shift exactly.
-                codes_m = codes_m - off * counts_m
-            out.append((counts_m, codes_m))
-        return out
+        resolved = iter(SCIPY_KERNEL.counts_codes_many(
+            self._state,
+            [tx + offsets[member] for member, tx in lanes if tx.size],
+        ))
+        # Nobody transmits on an empty lane: the kernel could not tell
+        # which block it runs on, and the answer is all zeros anyway.
+        return [
+            next(resolved) if tx.size
+            else (np.zeros(self.members[member].n, dtype=np.int64),
+                  np.zeros(self.members[member].n, dtype=np.int64))
+            for member, tx in lanes
+        ]

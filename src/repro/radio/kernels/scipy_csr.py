@@ -1,25 +1,63 @@
-"""The slot kernel: one :mod:`scipy.sparse` product per (batched) slot.
+"""The slot kernel: one CSR gather and bincount per (batched) slot.
 
-The arithmetic core of the vectorized tier.  A single-lane slot stacks
-a dense (2, |tx|) indicator/code matrix against the transmitters'
-adjacency rows; a replica batch stacks the lanes' rows into one sparse
-``(2R, n)`` matrix and resolves every lane with one product (exactly
-the flops of R separate products, none of the per-call overhead).  All
-arithmetic is exact int64, so no evaluation order can change a result.
+The arithmetic core of the vectorized tier.  A slot gathers the
+transmitters' adjacency rows (:func:`~repro.radio.kernels.base.row_positions`)
+and counts, per listener column, the transmitting neighbors and the sum
+of their 1-based indices with :func:`numpy.bincount`.  A batch of lanes
+is one gather and one bincount: each lane's columns are shifted into a
+disjoint range, so lanes never mix and each gets exactly the result of
+its own call.
+
+Counts are int64.  Code sums go through bincount's float64 weights,
+which is exact: a vertex's code sum is at most ``n * n``, and
+:meth:`ScipyKernel.prepare` rejects a matrix whose ``n * n`` reaches
+``2**53``.  (The class keeps the name it had when the product ran on
+:mod:`scipy.sparse`.)
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import List, NamedTuple, Sequence, Tuple
 
 import numpy as np
-from scipy import sparse as _sparse
 
-from .base import CSRAdjacency
+from ...errors import ConfigurationError
+from .base import CSRAdjacency, row_positions
+
+#: Float64 holds every integer below this exactly.
+_EXACT_FLOAT_BOUND = 2 ** 53
+
+
+class KernelState(NamedTuple):
+    """A prepared adjacency: its CSR arrays and its diagonal blocks.
+
+    ``blocks`` are the offsets of the block-diagonal packing the matrix
+    is made of (``[0, n]`` for one topology; one block per member for a
+    :class:`~repro.radio.kernels.megabatch.MegaBatchPlan`).  No edge
+    crosses a block boundary.
+    """
+
+    n: int
+    indptr: np.ndarray
+    indices: np.ndarray
+    blocks: np.ndarray
+
+    @property
+    def nnz(self) -> int:
+        """Number of stored entries (twice the edge count)."""
+        return int(self.indptr[-1])
+
+
+def _bincounts(
+    cols: np.ndarray, codes: np.ndarray, size: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    counts = np.bincount(cols, minlength=size)
+    sums = np.bincount(cols, weights=codes, minlength=size)
+    return counts, sums.astype(np.int64)
 
 
 class ScipyKernel:
-    """Per-slot counts/codes arithmetic on a scipy CSR matrix.
+    """Per-slot counts/codes arithmetic on CSR index arrays.
 
     Stateless: per-topology state is whatever :meth:`prepare` returns,
     threaded back into the ``counts_codes*`` calls by the caller, so
@@ -27,57 +65,78 @@ class ScipyKernel:
     topology.
     """
 
-    def prepare(self, adjacency: CSRAdjacency) -> _sparse.csr_matrix:
-        """Build the scipy CSR matrix (all values 1, int64)."""
-        data = np.ones(adjacency.nnz, dtype=np.int64)
-        return _sparse.csr_matrix(
-            (data, adjacency.indices, adjacency.indptr),
-            shape=(adjacency.n, adjacency.n),
+    def prepare(self, adjacency: CSRAdjacency) -> KernelState:
+        """The kernel state of one topology (a single diagonal block)."""
+        if adjacency.n * adjacency.n >= _EXACT_FLOAT_BOUND:
+            raise ConfigurationError(
+                f"{adjacency.n} vertices is too many for exact code sums"
+            )
+        return KernelState(
+            n=adjacency.n,
+            indptr=adjacency.indptr,
+            indices=adjacency.indices,
+            blocks=np.array([0, adjacency.n], dtype=np.int64),
         )
 
     def counts_codes(
-        self, state, tx_idx: np.ndarray
+        self, state: KernelState, tx_idx: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Per-vertex (transmitting-neighbor count, summed sender codes).
 
         Sender codes are 1-based transmitter indices; where the count is
         exactly 1 the code minus one *is* the unique sender's index.
         """
-        sub = state[tx_idx]
-        stacked = np.vstack(
-            [np.ones(len(tx_idx), dtype=np.int64), tx_idx + 1]
+        tx_idx = np.asarray(tx_idx, dtype=np.int64)
+        pos, lens = row_positions(state.indptr, tx_idx)
+        return _bincounts(
+            state.indices[pos], np.repeat(tx_idx + 1, lens), state.n
         )
-        out = stacked @ sub
-        return out[0], out[1]
 
     def counts_codes_many(
-        self, state, tx_lists: Sequence[np.ndarray]
+        self, state: KernelState, tx_lists: Sequence[np.ndarray]
     ) -> List[Tuple[np.ndarray, np.ndarray]]:
-        """:meth:`counts_codes` for many independent replicas at once.
+        """:meth:`counts_codes` for many independent lanes at once.
 
-        ``tx_lists[r]`` holds replica ``r``'s transmitter indices; the
-        per-replica pairs come back in the same order, each bit-identical
-        to its own :meth:`counts_codes` call (entries of distinct
-        replicas never mix — exact int64 arithmetic guarantees it).
+        ``tx_lists[r]`` holds lane ``r``'s transmitter indices; the
+        per-lane pairs come back in the same order.  Each lane is
+        resolved over the diagonal block its transmitters lie in, with
+        sender codes counted from the block's first vertex — the whole
+        matrix for one topology, where every pair is bit-identical to
+        the lane's own :meth:`counts_codes` call.  A lane with no
+        transmitters gets the whole matrix's (zero) result.
         """
-        replicas = len(tx_lists)
-        sizes = [len(tx) for tx in tx_lists]
-        indptr = np.zeros(2 * replicas + 1, dtype=np.int64)
-        for r, size in enumerate(sizes):
-            indptr[2 * r + 1] = indptr[2 * r] + size
-            indptr[2 * r + 2] = indptr[2 * r + 1] + size
-        indices = np.concatenate(
-            [col for tx in tx_lists for col in (tx, tx)]
-        ) if replicas else np.zeros(0, dtype=np.int64)
-        data = np.concatenate(
-            [col for tx in tx_lists
-             for col in (np.ones(len(tx), dtype=np.int64), tx + 1)]
-        ) if replicas else np.zeros(0, dtype=np.int64)
-        stacked = _sparse.csr_matrix(
-            (data, indices, indptr), shape=(2 * replicas, state.shape[0])
+        lanes = len(tx_lists)
+        if not lanes:
+            return []
+        sizes = np.fromiter((len(tx) for tx in tx_lists), dtype=np.int64,
+                            count=lanes)
+        all_tx = np.concatenate(tx_lists).astype(np.int64, copy=False)
+        lane_of_tx = np.repeat(np.arange(lanes), sizes)
+        lo = np.zeros(lanes, dtype=np.int64)
+        width = np.full(lanes, state.n, dtype=np.int64)
+        blocks = state.blocks
+        if len(blocks) > 2:
+            some = np.flatnonzero(sizes)
+            first = all_tx[(np.cumsum(sizes) - sizes)[some]]
+            b = np.searchsorted(blocks, first, side="right") - 1
+            lo[some] = blocks[b]
+            width[some] = blocks[b + 1] - blocks[b]
+            rel = all_tx - lo[lane_of_tx]
+            if ((rel < 0) | (rel >= width[lane_of_tx])).any():
+                raise ConfigurationError(
+                    "a lane's transmitters must lie in one diagonal block"
+                )
+        base = np.cumsum(width) - width
+        pos, lens = row_positions(state.indptr, all_tx)
+        cols = state.indices[pos] + np.repeat((base - lo)[lane_of_tx], lens)
+        local = all_tx + 1 - lo[lane_of_tx]
+        counts, codes = _bincounts(
+            cols, np.repeat(local, lens), int(base[-1] + width[-1])
         )
-        out = np.asarray((stacked @ state).todense())
-        return [(out[2 * r], out[2 * r + 1]) for r in range(replicas)]
+        return [
+            (counts[b:b + w], codes[b:b + w])
+            for b, w in zip(base.tolist(), width.tolist())
+        ]
 
 
 #: The one kernel instance every engine resolves its slots through.

@@ -23,7 +23,7 @@ import numpy as np
 
 from ...errors import ConfigurationError
 from ..sinr import THRESHOLD_DEN, SinrField, SinrParams
-from .base import CSRAdjacency
+from .base import CSRAdjacency, row_positions
 
 
 @dataclass(frozen=True)
@@ -108,16 +108,9 @@ def sinr_arbitrate_many(
             )
         shapes.append((offset, csr.n))
         if tx_idx.size:
-            starts = csr.indptr[tx_idx]
-            lens = csr.indptr[tx_idx + 1] - starts
-            total = int(lens.sum())
-            if total:
-                # CSR gather: positions of every (transmitter, listener)
-                # edge in the data arrays, transmitter-major.
-                pos = (
-                    np.repeat(starts - np.cumsum(lens) + lens, lens)
-                    + np.arange(total, dtype=np.int64)
-                )
+            # Every (transmitter, listener) edge, transmitter-major.
+            pos, lens = row_positions(csr.indptr, tx_idx)
+            if pos.size:
                 cols_parts.append(csr.indices[pos] + offset)
                 sig_parts.append(
                     csr.gains[pos] * np.repeat(csr.mults[tx_levels], lens)

@@ -37,19 +37,26 @@ from typing import (
     Mapping,
     Optional,
     Set,
+    Union,
 )
 
 import networkx as nx
 
 from ..errors import ConfigurationError, SimulationError
 from ..rng import SeedLike, Stream, StreamSeed, StreamTree, make_rng, spawn_streams
-from .channel import CollisionModel, Feedback, Reception, resolve
+from .channel import CollisionModel, resolve
 from .device import ActionKind, Device
 from .dynamic import DynamicTopology, TopologyPatch
 from .engine_registry import register_engine
 from .energy import EnergyLedger
 from .faults import FaultCounters, FaultModel, FaultRuntime, SlotFaultPlan
 from .message import Message, MessageSizePolicy
+from .population import (
+    DevicePopulation,
+    SlotCore,
+    SlotPopulation,
+    jam_reception_for,
+)
 from .sinr import (
     SinrField,
     SinrParams,
@@ -73,21 +80,6 @@ def validate_topology(graph: nx.Graph) -> None:
             "radio network topologies must be undirected (the RN model "
             "has symmetric links); got a directed graph"
         )
-
-
-def jam_reception_for(collision_model: CollisionModel) -> Reception:
-    """The channel outcome a jammed listener perceives.
-
-    Indistinguishable from a collision under the active collision model
-    (``NOISE`` with receiver-side CD or SINR, ``NOTHING`` without CD);
-    shared by every executor tier so jam semantics stay
-    engine-independent.
-    """
-    return Reception(
-        Feedback.NOTHING
-        if collision_model is CollisionModel.NO_CD
-        else Feedback.NOISE
-    )
 
 
 def validate_population(
@@ -254,6 +246,11 @@ class SlotEngineBase:
             faults, graph, seed=fault_seed, counters=self.fault_counters
         )
         self._jam_reception = jam_reception_for(collision_model)
+        #: What the engine's populations act against (vertex indexing,
+        #: channel semantics, trace); ``None`` on an engine that resolves
+        #: slots from the devices directly.
+        self.slot_core: Optional[SlotCore] = None
+        self._max_degree: Optional[int] = None
 
     def _next_fault_plan(self) -> Optional[SlotFaultPlan]:
         """The fault plan for the current slot (``None`` = no faults).
@@ -326,35 +323,60 @@ class SlotEngineBase:
     # ------------------------------------------------------------------
     def run(
         self,
-        devices: Mapping[Hashable, Device],
+        devices: Union[Mapping[Hashable, Device], SlotPopulation],
         max_slots: int,
         stop_when: Optional[Callable[[], bool]] = None,
     ) -> int:
         """Run the population for up to ``max_slots`` slots.
 
-        The device mapping must cover the vertex set exactly: a missing
-        device would silently never act, and a device keyed by a vertex
-        absent from the graph could never transmit to or hear anyone —
-        both are configuration bugs and rejected up front.
+        ``devices`` is a device mapping or, on the fast engine, a
+        :class:`~repro.radio.population.SlotPopulation` (a columnar
+        Decay phase).  A device mapping must cover the vertex set
+        exactly: a missing device would silently never act, and a
+        device keyed by a vertex absent from the graph could never
+        transmit to or hear anyone — both are configuration bugs and
+        rejected up front.
 
-        Stops early when every device has ``halted`` or when
-        ``stop_when()`` returns True (checked once per slot).  Returns
-        the number of slots executed.
+        Stops early when the whole population has halted or when
+        ``stop_when()`` returns True (checked once per slot).  Energy a
+        population accumulates reaches the ledger before every
+        ``stop_when`` call and invariant check, and when the run ends.
+        Returns the number of slots executed.
         """
-        validate_population(self._node_set, devices)
+        population = self._population(devices)
+        monitor = self.invariant_monitor
+        observed = monitor is not None or stop_when is not None
         executed = 0
-        for _ in range(max_slots):
-            if all(d.halted for d in devices.values()):
-                break
-            if stop_when is not None and stop_when():
-                break
-            self.step(devices)
-            executed += 1
-            if self.invariant_monitor is not None:
-                self.invariant_monitor.after_slot(self)
+        try:
+            for _ in range(max_slots):
+                if population.halted():
+                    break
+                if stop_when is not None and stop_when():
+                    break
+                self.step(population)
+                executed += 1
+                if observed:
+                    population.settle(self.ledger)
+                if monitor is not None:
+                    monitor.after_slot(self)
+        finally:
+            population.settle(self.ledger)
         return executed
 
-    def step(self, devices: Mapping[Hashable, Device]) -> None:
+    def _population(
+        self, devices: Union[Mapping[Hashable, Device], SlotPopulation]
+    ) -> SlotPopulation:
+        """The population :meth:`run` drives: a columnar one as given, a
+        validated device mapping wrapped in a
+        :class:`~repro.radio.population.DevicePopulation`."""
+        if isinstance(devices, SlotPopulation):
+            return devices
+        validate_population(self._node_set, devices)
+        return DevicePopulation(self.slot_core, devices)
+
+    def step(
+        self, devices: Union[Mapping[Hashable, Device], SlotPopulation]
+    ) -> None:
         """Execute one synchronous slot for all devices."""
         raise NotImplementedError
 
@@ -379,7 +401,11 @@ class SlotEngineBase:
         """
         if self._dynamic is not None:
             return self._dynamic.max_degree_bound
-        return max((d for _, d in self.graph.degree), default=0)
+        if self._max_degree is None:
+            # Read once per phase by the Decay layer; the topology an
+            # engine was built on never changes.
+            self._max_degree = max((d for _, d in self.graph.degree), default=0)
+        return self._max_degree
 
 
 @register_engine
@@ -428,8 +454,21 @@ class RadioNetwork(SlotEngineBase):
         """The live adjacency as canonical neighbor sets (see base)."""
         return {v: frozenset(nbrs) for v, nbrs in self._adjacency.items()}
 
-    def step(self, devices: Mapping[Hashable, Device]) -> None:
-        """Execute one synchronous slot for all devices."""
+
+    def step(
+        self, devices: Union[Mapping[Hashable, Device], SlotPopulation]
+    ) -> None:
+        """Execute one synchronous slot for all devices.
+
+        Device objects only — a device mapping, or the
+        :class:`~repro.radio.population.DevicePopulation` :meth:`run`
+        wraps one in: the oracle runs no columnar population.
+        """
+        if not isinstance(devices, Mapping):
+            raise ConfigurationError(
+                "the reference engine runs Device objects only; got "
+                f"a {type(devices).__name__}"
+            )
         plan = self._next_fault_plan()
         counters = self.fault_counters
         transmissions: Dict[Hashable, Message] = {}

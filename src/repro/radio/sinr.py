@@ -241,11 +241,17 @@ def transmit_level(device: Any, action: Any, params: SinrParams) -> int:
     level = action.power
     if level is None:
         level = getattr(device, "power_level", 0)
+    return check_level(level, device.vertex, params)
+
+
+def check_level(level: Any, vertex: Any, params: SinrParams) -> int:
+    """``level`` if it is a rung of the ladder, else the error a
+    transmitter at ``vertex`` selecting it raises."""
     if not isinstance(level, int) or isinstance(level, bool) or not (
         0 <= level < params.levels
     ):
         raise SimulationError(
-            f"device {device.vertex!r} selected transmit power level "
+            f"device {vertex!r} selected transmit power level "
             f"{level!r}; the ladder has levels 0..{params.levels - 1}"
         )
     return level

@@ -57,6 +57,11 @@ class LazyStream:
 Stream = Union[np.random.Generator, LazyStream]
 
 
+def built(stream: Stream) -> np.random.Generator:
+    """The stream's Generator, built now if the stream is lazy."""
+    return stream.generator() if isinstance(stream, LazyStream) else stream
+
+
 class StreamTree:
     """The children of one ``SeedSequence``, handed out without building them.
 

@@ -89,6 +89,117 @@ def test_unique_sender_decode_invariant():
     assert not unique.any() or np.isin(codes[unique] - 1, tx).all()
 
 
+def _edge_case_graph(name):
+    """Shapes the gather+bincount kernel must get right."""
+    import networkx as nx
+
+    if name == "isolated":
+        graph = nx.empty_graph(12)
+        graph.add_edges_from([(1, 2), (2, 3), (7, 8)])  # 0, 4-6, 9-11 isolated
+        return graph
+    if name == "hub":
+        return topology.scenario("star", 40)  # hub of degree n - 1
+    if name == "complete":
+        return topology.scenario("complete", 15)
+    if name == "tuples":
+        graph = topology.scenario("grid", 36)
+        return nx.relabel_nodes(graph, {v: (v // 6, v % 6) for v in graph})
+    return topology.scenario(name, 30)
+
+
+EDGE_CASES = ("isolated", "hub", "complete", "tuples", "barbell")
+
+
+def _compiled(name):
+    graph = _edge_case_graph(name)
+    return CSRAdjacency.from_graph(
+        graph, {v: i for i, v in enumerate(graph.nodes)}
+    )
+
+
+def _random_subsets(adj, rng, trials=12):
+    """Random transmitter subsets of every size, in random order, plus
+    the empty list."""
+    subsets = [np.zeros(0, dtype=np.int64)]
+    for _ in range(trials):
+        size = int(rng.integers(0, adj.n + 1))
+        subsets.append(rng.choice(adj.n, size=size, replace=False).astype(np.int64))
+    return subsets
+
+
+@pytest.mark.parametrize("name", EDGE_CASES)
+def test_random_subsets_agree_with_row_loop(name):
+    adj = _compiled(name)
+    state = SCIPY_KERNEL.prepare(adj)
+    subsets = _random_subsets(adj, np.random.default_rng(len(name)))
+    many = SCIPY_KERNEL.counts_codes_many(state, subsets)
+    assert len(many) == len(subsets)
+    for tx, (many_counts, many_codes) in zip(subsets, many):
+        ref_counts, ref_codes = _loop_counts_codes(adj, tx)
+        counts, codes = SCIPY_KERNEL.counts_codes(state, tx)
+        for got in (counts, codes, many_counts, many_codes):
+            assert got.dtype == np.int64 and got.shape == (adj.n,)
+        np.testing.assert_array_equal(counts, ref_counts)
+        np.testing.assert_array_equal(codes, ref_codes)
+        np.testing.assert_array_equal(many_counts, ref_counts)
+        np.testing.assert_array_equal(many_codes, ref_codes)
+
+
+def test_empty_batch_and_empty_lanes():
+    adj = _compiled("hub")
+    state = SCIPY_KERNEL.prepare(adj)
+    assert SCIPY_KERNEL.counts_codes_many(state, []) == []
+    empty = np.zeros(0, dtype=np.int64)
+    for counts, codes in SCIPY_KERNEL.counts_codes_many(state, [empty, empty]):
+        assert not counts.any() and not codes.any()
+        assert counts.shape == codes.shape == (adj.n,)
+
+
+def test_isolated_vertices_hear_nothing():
+    adj = _compiled("isolated")
+    counts, codes = SCIPY_KERNEL.counts_codes(
+        SCIPY_KERNEL.prepare(adj), np.arange(adj.n, dtype=np.int64)
+    )
+    for i in (0, 4, 5, 6, 9, 10, 11):
+        assert counts[i] == 0 and codes[i] == 0
+
+
+def test_hub_sums_every_leaf_code():
+    adj = _compiled("hub")
+    leaves = np.arange(1, adj.n, dtype=np.int64)
+    counts, codes = SCIPY_KERNEL.counts_codes(SCIPY_KERNEL.prepare(adj), leaves)
+    assert counts[0] == adj.n - 1
+    assert codes[0] == int((leaves + 1).sum())
+    assert not counts[1:].any()
+
+
+def test_prepare_rejects_inexact_code_sums():
+    """Code sums reach n * n; float64 weights are exact only below 2**53."""
+    huge = CSRAdjacency(
+        n=2 ** 27, indptr=np.zeros(1, dtype=np.int64),
+        indices=np.zeros(0, dtype=np.int64),
+    )
+    with pytest.raises(ConfigurationError, match="exact"):
+        SCIPY_KERNEL.prepare(huge)
+
+
+def test_mega_plan_edge_cases_match_per_member_loops():
+    adjs = [_compiled(name) for name in EDGE_CASES]
+    plan = MegaBatchPlan(adjs)
+    rng = np.random.default_rng(11)
+    requests = [
+        (m, tx) for m, adj in enumerate(adjs)
+        for tx in _random_subsets(adj, rng, trials=4)
+    ]
+    rng.shuffle(requests)
+    resolved = plan.counts_codes_many(requests)
+    for (m, tx), (counts, codes) in zip(requests, resolved):
+        ref_counts, ref_codes = _loop_counts_codes(adjs[m], tx)
+        assert counts.shape == (adjs[m].n,)
+        np.testing.assert_array_equal(counts, ref_counts)
+        np.testing.assert_array_equal(codes, ref_codes)
+
+
 # ---------------------------------------------------------------------------
 # CSR compilation
 # ---------------------------------------------------------------------------

@@ -12,11 +12,13 @@ import pytest
 
 from repro.core import simple_bfs
 from repro.core.simple_bfs import decay_bfs
+from repro.primitives import decay
 from repro.primitives.decay import DecayReceiver, run_decay_local_broadcast
 from repro.radio import MegaBatchedNetwork, ReplicaBatchedNetwork, make_network, topology
 from repro.radio.device import Device
 from repro.radio.message import message_of_ints
 from repro.rng import LazyStream, StreamTree, make_rng, spawn_streams
+from repro.rng import built as built_stream
 
 DRAWS = 6
 
@@ -131,11 +133,11 @@ def test_decay_bfs_advances_a_callers_generator_per_phase(monkeypatch):
 # Laziness: one Generator per sender, and a planted eager receiver is caught
 # ---------------------------------------------------------------------------
 
-def _generators_built_by_one_phase(monkeypatch):
+def _generators_built_by_one_phase(monkeypatch, engine="fast"):
     """Run one Decay phase on a 32x32 grid from a tree; return
     ``(Generators built, senders)``."""
     graph = topology.scenario("grid", 1024)
-    net = make_network(graph, engine="fast")
+    net = make_network(graph, engine=engine)
     senders = [v for v in graph if v % 7 == 0]
     messages = {v: message_of_ints(v, 0, kind="bfs") for v in senders}
     receivers = [v for v in graph if v % 7 != 0 and v % 3 != 0]
@@ -158,9 +160,23 @@ def test_one_decay_phase_builds_one_generator_per_sender(monkeypatch):
     assert built == senders
 
 
+def test_object_roles_build_one_generator_per_sender(monkeypatch):
+    built, senders = _generators_built_by_one_phase(monkeypatch, "reference")
+    assert built == senders
+
+
 def test_planted_eager_receiver_is_caught(monkeypatch):
-    """A receiver that touches its stream builds a Generator it never
-    draws from — the regression the laziness check exists to catch."""
+    """A columnar phase that builds every vertex's Generator at spawn —
+    receivers included — is the regression the laziness check exists to
+    catch."""
+    monkeypatch.setattr(decay, "_stream", lambda vertex, stream: built_stream(stream))
+    built, senders = _generators_built_by_one_phase(monkeypatch)
+    assert built > senders
+
+
+def test_planted_eager_receiver_role_is_caught(monkeypatch):
+    """A receiver role that touches its stream builds a Generator it
+    never draws from; the reference engine runs the object roles."""
     real_init = DecayReceiver.__init__
 
     def eager_init(self, *args, **kwargs):
@@ -168,5 +184,5 @@ def test_planted_eager_receiver_is_caught(monkeypatch):
         self.rng  # noqa: B018 - the planted eager access
 
     monkeypatch.setattr(DecayReceiver, "__init__", eager_init)
-    built, senders = _generators_built_by_one_phase(monkeypatch)
+    built, senders = _generators_built_by_one_phase(monkeypatch, "reference")
     assert built > senders
